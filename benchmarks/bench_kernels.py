@@ -579,6 +579,71 @@ def test_bench_cg_mixed_refine(benchmark):
     benchmark.extra_info["sweeps"] = int(result.sweeps)
 
 
+#: Problem shapes of the compiled-operator speedup keys:
+#: ``(degree, element box)`` — the N=3 and N=7 serving shapes, and the
+#: paper's N=7 reference shape.
+COMPILED_CASES: dict[str, tuple[int, tuple[int, int, int]]] = {
+    "n3_e8": (3, (2, 2, 2)),
+    "n7_e8": (7, (2, 2, 2)),
+    "n7_e512": (7, (8, 8, 8)),
+}
+#: Interleaved compiled/numpy repeats per case, and the wall time one
+#: side of one repeat should last.
+COMPILED_REPEATS: int = 15
+COMPILED_WINDOW_S: float = 0.01
+
+
+@pytest.mark.parametrize("case", tuple(COMPILED_CASES))
+def test_bench_apply_a_compiled(benchmark, case):
+    """Compiled fused ``apply_A`` vs the numpy path on one problem.
+
+    Both paths run on the same problem and input, interleaved repeat by
+    repeat (numpy window, then compiled window), so host drift hits both
+    alike; ``extra_info["speedup"]`` is the median of the per-repeat
+    ratios and feeds ``apply_a_<case>_compiled_speedup``.  One-shot
+    (``pedantic(rounds=1)``): the measurement is self-timing.
+    """
+    import time
+
+    degree, shape = COMPILED_CASES[case]
+    mesh = BoxMesh.build(ReferenceElement.from_degree(degree), shape)
+    prob = PoissonProblem(mesh, ax_backend="matmul")
+    if prob.operator_status.path != "compiled":
+        pytest.skip(f"numpy operator: {prob.operator_status.reason}")
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(prob.n_dofs)
+    out = np.empty_like(u)
+    prob.apply_A_numpy(u, out=out)  # warm both paths
+    prob.apply_A(u, out=out)
+    t0 = time.perf_counter()
+    prob.apply_A_numpy(u, out=out)
+    calls = max(1, int(COMPILED_WINDOW_S / (time.perf_counter() - t0)))
+
+    def window(apply) -> float:
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            apply(u, out=out)
+        return (time.perf_counter() - t0) / calls
+
+    def interleaved():
+        pairs = [
+            (window(prob.apply_A_numpy), window(prob.apply_A))
+            for _ in range(COMPILED_REPEATS)
+        ]
+        numpy_s, compiled_s = (sorted(side) for side in zip(*pairs))
+        ratios = sorted(n / c for n, c in pairs)
+        mid = COMPILED_REPEATS // 2
+        return ratios[mid], numpy_s[mid], compiled_s[mid]
+
+    speedup, numpy_s, compiled_s = benchmark.pedantic(
+        interleaved, rounds=1, iterations=1
+    )
+    benchmark.extra_info["speedup"] = speedup
+    benchmark.extra_info["numpy_s"] = numpy_s
+    benchmark.extra_info["compiled_s"] = compiled_s
+    benchmark.extra_info["repeats"] = COMPILED_REPEATS
+
+
 def test_bench_gather_scatter(benchmark):
     """Direct-stiffness round trip on a 4x4x4 mesh at N=7."""
     ref = ReferenceElement.from_degree(7)

@@ -5,7 +5,8 @@ Runs ``benchmarks/bench_kernels.py`` under pytest-benchmark with
 ``--benchmark-json``, then appends a ``derived`` section with the
 headline hot-path ratios (einsum vs matmul at the paper's N=7 reference
 shape, fp32 vs fp64 ``Ax`` and the mixed-precision refinement solve,
-thread-block and batched multi-RHS speedups) so future PRs have
+thread-block and batched multi-RHS speedups, the compiled fused
+operator vs the numpy ``apply_A``) so future PRs have
 a perf trajectory to compare against:
 
     python benchmarks/run_baseline.py [--out BENCH_kernels.json]
@@ -119,6 +120,18 @@ def derive(data: dict) -> dict:
         # Mixed-precision refinement vs the warm fp64 solve to the same
         # fp64 true-residual tolerance (acceptance floor: 1.3x).
         derived["cg_mixed_refine_speedup"] = cg_fp64 / cg_mixed
+    for case in ("n3_e8", "n7_e8", "n7_e512"):
+        compiled = bench_of(data, f"test_bench_apply_a_compiled[{case}]")
+        info = compiled.get("extra_info", {}) if compiled else {}
+        if info.get("speedup"):
+            # Compiled fused apply_A vs the numpy path on one problem:
+            # median of interleaved per-repeat ratios (tracked, not
+            # gated; the serving-shape target is >= 5x).
+            derived[f"apply_a_{case}_numpy_s"] = float(info["numpy_s"])
+            derived[f"apply_a_{case}_compiled_s"] = float(info["compiled_s"])
+            derived[f"apply_a_{case}_compiled_speedup"] = float(
+                info["speedup"]
+            )
     cg_plain = mean_of(data, "test_bench_cg_solve")
     cg_ws = mean_of(data, "test_bench_cg_solve_workspace")
     if cg_plain and cg_ws:

@@ -14,7 +14,8 @@ crosses one GIL.  This demo runs the process-level tier:
 2. route a keyed tenant stream through consistent hashing, exactly as
    the thread-shard does — same routers, same watermark semantics,
 3. verify every result that crossed a process boundary is bit-identical
-   to a sequential warm ``cg_solve``,
+   to a sequential warm ``cg_solve`` — the parent and the workers attest
+   the same operator path (the compiled artifact's key, or numpy),
 4. close: every worker drains, the processes join, and the shared
    blocks are unlinked from ``/dev/shm``.
 
@@ -68,6 +69,14 @@ def main() -> None:
         assert all(not info["g_soa_writeable"] for info in infos)
         print(f"workers {pids} share one geometry block "
               f"{svc.spec.geometry.block} (read-only, zero-copy)")
+        # Bit-identity needs one arithmetic: the parent and every worker
+        # run the same operator path (compiled artifact or numpy).
+        status = problem.operator_status
+        paths = {(info["operator"], info["operator_key"]) for info in infos}
+        assert paths == {(status.path, status.key)}, (paths, status)
+        print(f"parent and workers run the {status.path} operator"
+              + (f" (artifact {status.key})" if status.key else
+                 f" ({status.reason})"))
 
         # 2. A keyed tenant stream through consistent-hash routing.
         keys = [f"tenant-{k % 6}" for k in range(len(requests))]

@@ -18,10 +18,19 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.sem.cg import check_precision, cg_solve, cg_solve_mixed
+from repro.sem.compiled import (
+    CompiledOperator,
+    OperatorStatus,
+    load_operator,
+)
 from repro.sem.element import ReferenceElement
 from repro.sem.gather_scatter import GatherScatter
 from repro.sem.geometry import Geometry, geometric_factors
-from repro.sem.kernels import accepts_keyword, resolve_ax_backend
+from repro.sem.kernels import (
+    accepts_keyword,
+    ax_local_matmul,
+    resolve_ax_backend,
+)
 from repro.sem.mesh import BoxMesh
 from repro.sem.operators import ax_local
 from repro.sem.workspace import SolverWorkspace, cached_batch_workspace
@@ -67,6 +76,11 @@ class PoissonProblem:
     though that one solve may carry a stacked ``(B, n)`` block of
     right-hand sides through :meth:`batch_workspace` and
     :func:`~repro.sem.cg.cg_solve_batched`.
+
+    With the ``matmul`` backend the problem binds the compiled fused
+    operator of :mod:`repro.sem.compiled` at construction, so
+    :meth:`apply_A` is one foreign call; :meth:`apply_A_numpy` remains
+    the reference path and the fallback.
     """
 
     mesh: BoxMesh
@@ -81,6 +95,10 @@ class PoissonProblem:
     gs: GatherScatter = field(init=False)
     interior: NDArray[np.bool_] = field(init=False, repr=False)
     workspace: SolverWorkspace = field(init=False, repr=False)
+    #: Which operator path :meth:`apply_A`/:meth:`apply_A32` run
+    #: (``"compiled"`` or ``"numpy"``), the artifact's cache key, and
+    #: the reason whenever numpy runs; see :mod:`repro.sem.compiled`.
+    operator_status: OperatorStatus = field(init=False, repr=False)
 
     def __post_init__(self, _parts: "object | None" = None) -> None:
         check_precision(self.precision)
@@ -102,6 +120,55 @@ class PoissonProblem:
         self._ax_ws = accepts_keyword(self.ax_backend, "workspace")
         self._precond_diag: NDArray[np.float64] | None = (
             None if _parts is None else _parts.precond_diag
+        )
+        self._bind_compiled()
+
+    def _bind_compiled(self) -> None:
+        """Bind the compiled fused operator when the backend allows it.
+
+        Only the registered ``matmul`` backend is replaced (the compiled
+        operator computes the same ``D^T G D`` sum factorization); any
+        other backend, and any failure to find, build or load the
+        artifact, keeps the numpy path and records why in
+        :attr:`operator_status`.  The fp32 twin binds on the first
+        :meth:`apply_A32`, so fp64-only problems never force the fp32
+        geometry cast.
+        """
+        self._compiled: CompiledOperator | None = None
+        self._compiled32: CompiledOperator | None = None
+        self._operator_lib = None
+        if self.ax_backend is not ax_local_matmul:
+            self.operator_status = OperatorStatus(
+                "numpy", reason="backend is not the matmul kernel"
+            )
+            return
+        lib = load_operator(self.ref.n_points)
+        if isinstance(lib, str):
+            self.operator_status = OperatorStatus("numpy", reason=lib)
+            return
+        try:
+            self._compiled = self._bind_dtype(lib, np.float64)
+        except ValueError as exc:
+            self.operator_status = OperatorStatus("numpy", reason=str(exc))
+            return
+        self._operator_lib = lib
+        self.operator_status = OperatorStatus("compiled", key=lib.key)
+
+    def _bind_dtype(self, lib, dtype) -> CompiledOperator:
+        """One dtype's compiled operator over this problem's arrays."""
+        dtype = np.dtype(dtype)
+        if dtype == np.float64:
+            mask = self._interior_f
+        else:
+            if self._interior32 is None:
+                self._interior32 = self.interior.astype(np.float32)
+            mask = self._interior32
+        return CompiledOperator(
+            lib.functions["f64" if dtype == np.float64 else "f32"],
+            self.gs.l2g_flat,
+            mask,
+            self.geometry.as_dtype(dtype).g_soa,
+            np.ascontiguousarray(self.ref.deriv_as(dtype)),
         )
 
     # ------------------------------------------------------------------
@@ -233,6 +300,23 @@ class PoissonProblem:
     ) -> NDArray[np.float64]:
         """Global operator: mask -> scatter -> local Ax -> gather -> mask.
 
+        Runs the compiled fused operator when one is bound (see
+        :attr:`operator_status`; one foreign call, allocation-free with
+        ``out``), and :meth:`apply_A_numpy` otherwise.  Both accept a
+        single ``(n,)`` vector or a stacked ``(B, n)`` block, and each
+        batched row is bit-identical to its single-system call.
+        """
+        if self._compiled is not None:
+            return self._compiled.apply(u_global, out)
+        return self.apply_A_numpy(u_global, out)
+
+    def apply_A_numpy(
+        self,
+        u_global: NDArray[np.float64],
+        out: NDArray[np.float64] | None = None,
+    ) -> NDArray[np.float64]:
+        """The numpy operator: the reference every other path is held to.
+
         The returned operator is symmetric positive definite on the
         interior DOFs (boundary rows/columns are identities times zero,
         i.e. masked out), which CG requires.  Every intermediate lives in
@@ -247,9 +331,9 @@ class PoissonProblem:
         """
         if u_global.ndim == 2 and u_global.shape[0] == 1:
             if out is not None:
-                self.apply_A(u_global[0], out=out[0])
+                self.apply_A_numpy(u_global[0], out=out[0])
                 return out
-            return self.apply_A(u_global[0])[None]
+            return self.apply_A_numpy(u_global[0])[None]
         ws = (
             self.batch_workspace(u_global.shape[0])
             if u_global.ndim == 2 else self.workspace
@@ -283,6 +367,25 @@ class PoissonProblem:
     ) -> NDArray[np.float32]:
         """fp32 twin of :meth:`apply_A` over the same physical operator.
 
+        Compiled when :meth:`apply_A` is (the fp32 entry point of the
+        same artifact, bound on first use over the fp32 geometry twin),
+        :meth:`apply_A32_numpy` otherwise.
+        """
+        if self._operator_lib is not None:
+            if self._compiled32 is None:
+                self._compiled32 = self._bind_dtype(
+                    self._operator_lib, np.float32
+                )
+            return self._compiled32.apply(u_global, out)
+        return self.apply_A32_numpy(u_global, out)
+
+    def apply_A32_numpy(
+        self,
+        u_global: NDArray[np.float32],
+        out: NDArray[np.float32] | None = None,
+    ) -> NDArray[np.float32]:
+        """fp32 numpy operator, the reference for the compiled fp32 twin.
+
         Streams the lazily cached fp32 geometry
         (:meth:`~repro.sem.geometry.Geometry.as_dtype`) and
         gather-scatter twins through the dtype-generic kernels — half
@@ -294,9 +397,9 @@ class PoissonProblem:
         """
         if u_global.ndim == 2 and u_global.shape[0] == 1:
             if out is not None:
-                self.apply_A32(u_global[0], out=out[0])
+                self.apply_A32_numpy(u_global[0], out=out[0])
                 return out
-            return self.apply_A32(u_global[0])[None]
+            return self.apply_A32_numpy(u_global[0])[None]
         ws = self.batch_workspace(
             u_global.shape[0] if u_global.ndim == 2 else 1,
             dtype=np.float32,

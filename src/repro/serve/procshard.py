@@ -199,6 +199,10 @@ def _worker_info(problem, spec, ring=None, pinned=None) -> dict:
     twins = getattr(geo, "_dtype_twins", None) or {}
     twin32 = twins.get(np.dtype(np.float32).str)
     shm32 = None if twin32 is None else getattr(twin32, "_shm", None)
+    # Operator attestation: the path apply_A runs here (the compiled
+    # artifact's cache key, or why numpy runs), so a failed worker-side
+    # load shows up instead of silently changing the arithmetic.
+    status = getattr(inner, "operator_status", None)
     return {
         "pid": os.getpid(),
         "n_dofs": int(problem.n_dofs),
@@ -227,6 +231,12 @@ def _worker_info(problem, spec, ring=None, pinned=None) -> dict:
             None if ring is None else bool(ring.rhs.flags.writeable)
         ),
         "pinned_cpus": pinned,
+        "operator": "numpy" if status is None else status.path,
+        "operator_key": None if status is None else status.key,
+        "operator_reason": (
+            "no compiled operator for this problem kind"
+            if status is None else status.reason
+        ),
     }
 
 
@@ -255,7 +265,8 @@ def _worker_main(
     wire carries a relative quantity) or ``None``; ``precision`` the
     request's solve policy (``"fp64"`` / ``"mixed"`` / ``None`` = the
     worker service's default); ``("stats", token)``, ``("info",
-    token)``, ``("flush", token)``, ``("close",)``.  Worker -> parent:
+    token)``, ``("flush", token)`` (``token=None`` from ``solve_many``,
+    whose reply nobody waits for), ``("close",)``.  Worker -> parent:
     ``("ready", pid)`` / ``("fatal", exc)`` once at startup, then
     ``("done_block", [(req_id, ok, result | exc), ...])`` blocks of
     results (on the ring transport a successful ``result`` is the
@@ -1601,16 +1612,29 @@ class ProcessShardedSolveService:
                         time.sleep(delay)
                     kill = injector.should_kill(chosen, ordinal)
                 if not drop:
+                    delivered = True
                     try:
                         w.conn.send(("solve_block", payload))
                     except (OSError, ValueError) as exc:
                         with w.state_lock:
-                            for req_id in req_ids:
-                                w.pending.pop(req_id, None)
-                        raise WorkerCrashed(
-                            f"worker {chosen} pipe is closed"
-                        ) from exc
-                    if ring is None:
+                            bounced = [
+                                w.pending.pop(req_id, None) is not None
+                                for req_id in req_ids
+                            ]
+                        if any(bounced):
+                            raise WorkerCrashed(
+                                f"worker {chosen} pipe is closed"
+                            ) from exc
+                        # The reader saw the death first and its crash
+                        # path already took the whole block (registered
+                        # under one lock, harvested under one lock): it
+                        # owns their retry or failure and has released
+                        # their slots.  Raising here would make the
+                        # caller schedule a second retry of the same
+                        # requests, and two live dispatches of one
+                        # request race on its ring slot fields.
+                        delivered = False
+                    if delivered and ring is None:
                         # copy_bytes audit: every rhs that pickled
                         # across the pipe is a transport copy the ring
                         # path does not pay.
@@ -1766,7 +1790,9 @@ class ProcessShardedSolveService:
         ``retry=None`` it fails with
         :class:`~repro.serve.errors.WorkerCrashed` — raised from the
         result gather, but only after every healthy worker's group was
-        dispatched.
+        dispatched.  Each worker is asked to drain its queue right
+        after its group goes out, so a group smaller than ``max_batch``
+        never waits out ``max_wait``.
         """
         if keys is not None and len(keys) != len(bs):
             raise ValueError(
@@ -1820,6 +1846,10 @@ class ProcessShardedSolveService:
             dispatched[chosen] = inflights
             try:
                 self._dispatch_inflights(chosen, inflights)
+                # Solve the group now: one smaller than max_batch would
+                # otherwise sit out max_wait in the worker's batcher
+                # (SolveService.solve_many flushes the same way).
+                self._flush_async(chosen)
             except ServiceClosed as exc:
                 # A closing service must not abandon the groups already
                 # dispatched: settle this group's tickets and keep
@@ -1842,6 +1872,20 @@ class ProcessShardedSolveService:
                             )
         tickets = [dispatched[chosen][pos].ticket for chosen, pos in order]
         return [t.result() for t in tickets]
+
+    def _flush_async(self, chosen: int) -> None:
+        """Ask worker ``chosen`` to drain its pending queue now, without
+        waiting for the reply (the reader drops the tokenless
+        ``flushed`` answer; a dead pipe surfaces through the reader)."""
+        w = self._workers[chosen]
+        with w.send_lock:
+            with w.state_lock:
+                if not w.alive or w.close_sent:
+                    return
+            try:
+                w.conn.send(("flush", None))
+            except (OSError, ValueError):
+                pass
 
     def flush(self) -> None:
         """Ask every live worker to drain its pending queue now.

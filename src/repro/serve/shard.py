@@ -347,6 +347,12 @@ class ShardedSolveService:
         fires *before* that point when configured, steering load away
         from deep queues instead of blocking on them).
         """
+        return self._submit(b, tol, maxiter, key, deadline, precision)[1]
+
+    def _submit(
+        self, b, tol, maxiter, key, deadline, precision,
+    ) -> tuple[int, SolveTicket]:
+        """:meth:`submit`, also returning the chosen replica's index."""
         mask = self.health.mask()
         healthy = None if all(mask) else mask
         # Sampling depths takes every replica's queue lock; skip it on
@@ -394,7 +400,7 @@ class ShardedSolveService:
         )
         with self._lock:
             self._routed[chosen] += 1
-        return ticket
+        return chosen, ticket
 
     def solve_many(
         self,
@@ -423,21 +429,28 @@ class ShardedSolveService:
         Returns
         -------
         list of ~repro.sem.cg.CGResult
-            One result per input row, in input order.
+            One result per input row, in input order.  Every addressed
+            replica's group is flushed on the calling thread once the
+            block is in, so none waits out ``max_wait``.
         """
         if keys is not None and len(keys) != len(bs):
             raise ValueError(
                 f"keys length {len(keys)} != number of requests {len(bs)}"
             )
-        tickets = [
-            self.submit(
-                b, tol=tol, maxiter=maxiter,
-                key=None if keys is None else keys[i],
-                deadline=deadline, precision=precision,
+        routed = [
+            self._submit(
+                b, tol, maxiter, None if keys is None else keys[i],
+                deadline, precision,
             )
             for i, b in enumerate(bs)
         ]
-        return [t.result() for t in tickets]
+        # The whole block is in: solve each addressed replica's group
+        # now instead of letting a group smaller than max_batch sit out
+        # max_wait in its dispatcher (SolveService.solve_many flushes
+        # the same way).
+        for chosen in sorted({chosen for chosen, _ in routed}):
+            self.services[chosen].flush()
+        return [ticket.result() for _, ticket in routed]
 
     def flush(self) -> None:
         """Drain every replica's pending queue on the calling thread.

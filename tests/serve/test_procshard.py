@@ -6,6 +6,7 @@ surfacing, and no shared-memory leaks."""
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -260,6 +261,41 @@ class TestProcShardCrash:
         finally:
             svc.close()
         assert not any(shm_exists(name) for name in blocks)
+
+
+class TestProcShardOperatorAttestation:
+    def test_workers_report_the_parent_operator_path(self, serving_problem):
+        """Served == sequential needs one arithmetic on both sides of the
+        process boundary: every worker attests the parent's path."""
+        prob, _ = serving_problem
+        with ProcessShardedSolveService(
+            prob, workers=2, policy="round-robin", max_batch=8,
+            max_wait=0.002,
+        ) as svc:
+            infos = svc.worker_info()
+        status = prob.operator_status
+        assert len(infos) == 2
+        assert {
+            (i["operator"], i["operator_key"], i["operator_reason"])
+            for i in infos
+        } == {(status.path, status.key, status.reason)}
+
+
+class TestProcShardSolveManyLatency:
+    def test_small_block_does_not_wait_out_max_wait(self, serving_problem):
+        """A 3-rhs block fills no worker's max_batch; solve_many must
+        flush each worker's group instead of waiting max_wait=5 s."""
+        prob, bank = serving_problem
+        with ProcessShardedSolveService(
+            prob, workers=2, policy="round-robin", max_batch=8,
+            max_wait=5.0, tol=1e-10, maxiter=200,
+        ) as svc:
+            t0 = time.monotonic()
+            results = svc.solve_many(bank[:3])
+            elapsed = time.monotonic() - t0
+        assert elapsed < 2.0, f"solve_many took {elapsed:.2f} s"
+        for b, got in zip(bank[:3], results):
+            assert_same_result(got, sequential_solve(prob, b))
 
 
 class TestProcShardStats:

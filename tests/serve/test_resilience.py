@@ -164,6 +164,48 @@ class TestCrashRespawnBitIdentity:
         assert_same_result(second, sequential_solve(prob, bank[1]))
 
 
+class TestSendFailsAfterCrashHarvest:
+    def test_request_taken_by_the_crash_path_is_retried_once(
+        self, serving_problem
+    ):
+        """A worker dies while a block is being sent to it, and its
+        reader's crash path harvests the freshly registered request
+        before the send fails.  The crash path then owns the retry: the
+        dispatch must not also report WorkerCrashed, or the caller
+        schedules a second retry and two live dispatches of one request
+        race on its ring slot (a 'stale late completion' error)."""
+        prob, bank = serving_problem
+        svc = ProcessShardedSolveService(
+            prob, workers=2, policy="round-robin", max_batch=8,
+            max_wait=0.002, tol=1e-10, maxiter=200,
+            retry=RetryPolicy(max_attempts=4, backoff_base=0.01),
+            restart=RestartPolicy(max_restarts=3, backoff_base=0.02),
+        )
+        try:
+            w = svc._workers[0]
+            pipe = w.conn
+
+            class DiesDuringSend:
+                def send(self, msg):
+                    if msg[0] != "solve_block":
+                        return pipe.send(msg)
+                    w.process.kill()
+                    w.reader.join(timeout=60)  # crash path has run
+                    raise BrokenPipeError("worker died mid-send")
+
+                def __getattr__(self, name):
+                    return getattr(pipe, name)
+
+            w.conn = DiesDuringSend()
+            ticket = svc.submit(bank[0])  # round-robin: worker 0 first
+            assert_same_result(
+                ticket.result(timeout=60), sequential_solve(prob, bank[0])
+            )
+            assert svc.retried == 1
+        finally:
+            svc.close()
+
+
 class TestCircuitBreaker:
     def test_slot_that_keeps_dying_is_ejected(self, serving_problem):
         """max_restarts=1: the first death respawns, the second trips

@@ -449,6 +449,23 @@ class TestShardedLifecycle:
                 svc.solve_many(bank[:3], keys=["a", "b"])
 
 
+class TestShardedSolveManyLatency:
+    def test_small_block_does_not_wait_out_max_wait(self, serving_problem):
+        """A 3-rhs block fills no replica's max_batch; solve_many must
+        flush each replica's group instead of waiting max_wait=5 s."""
+        prob, bank = serving_problem
+        with ShardedSolveService(
+            prob.clone(), replicas=2, policy="round-robin", max_batch=8,
+            max_wait=5.0, tol=1e-10, maxiter=200,
+        ) as svc:
+            t0 = time.monotonic()
+            results = svc.solve_many(bank[:3])
+            elapsed = time.monotonic() - t0
+        assert elapsed < 2.0, f"solve_many took {elapsed:.2f} s"
+        for b, got in zip(bank[:3], results):
+            assert_same_result(got, sequential_solve(prob, b))
+
+
 class TestShardedStats:
     def test_aggregate_sums_replicas(self, serving_problem):
         prob, bank = serving_problem
