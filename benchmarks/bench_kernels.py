@@ -644,6 +644,82 @@ def test_bench_apply_a_compiled(benchmark, case):
     benchmark.extra_info["repeats"] = COMPILED_REPEATS
 
 
+#: Problem shapes of the compiled-CG-step keys: the N=3 and N=7 serving
+#: shapes, where the vector work around ``apply_A`` weighs the most.
+CG_STEP_CASES: dict[str, tuple[int, tuple[int, int, int]]] = {
+    "n3_e8": (3, (2, 2, 2)),
+    "n7_e8": (7, (2, 2, 2)),
+}
+#: Iterations of each timed solve (``tol=0``, so every solve runs them
+#: all); the solve's setup is amortized over them.
+CG_STEP_ITERS: int = 100
+
+
+@pytest.mark.parametrize("case", tuple(CG_STEP_CASES))
+def test_bench_cg_iter_compiled(benchmark, case):
+    """Per-iteration time of a warm B=1 fp64 solve, compiled CG step vs
+    the numpy reference step (both with the compiled operator).
+
+    Interleaved repeat by repeat as in :func:`test_bench_apply_a_compiled`;
+    ``extra_info["speedup"]`` is the median of the per-repeat ratios and
+    feeds ``cg_iter_<case>_compiled_speedup``.  The numpy step is
+    selected the way a host without a compiler gets it: by the step
+    lookup returning a reason.
+    """
+    import time
+
+    from repro.sem import compiled
+
+    lib = compiled.load_step()
+    if isinstance(lib, str):
+        pytest.skip(f"numpy CG step: {lib}")
+    degree, shape = CG_STEP_CASES[case]
+    mesh = BoxMesh.build(ReferenceElement.from_degree(degree), shape)
+    prob = PoissonProblem(mesh, ax_backend="matmul")
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(prob.n_dofs) * prob.interior
+    diag = prob.precond_diag()
+
+    def solve() -> None:
+        cg_solve(prob.apply_A, b, precond_diag=diag, tol=0.0,
+                 maxiter=CG_STEP_ITERS, workspace=prob.workspace)
+
+    lookup = compiled.load_step
+
+    def numpy_step():
+        return "numpy step measured"
+
+    def window(step_lookup) -> float:
+        compiled.load_step = step_lookup
+        try:
+            t0 = time.perf_counter()
+            solve()
+            return (time.perf_counter() - t0) / CG_STEP_ITERS
+        finally:
+            compiled.load_step = lookup
+
+    window(numpy_step)  # warm both paths
+    window(lookup)
+
+    def interleaved():
+        pairs = [
+            (window(numpy_step), window(lookup))
+            for _ in range(COMPILED_REPEATS)
+        ]
+        numpy_s, compiled_s = (sorted(side) for side in zip(*pairs))
+        ratios = sorted(n / c for n, c in pairs)
+        mid = COMPILED_REPEATS // 2
+        return ratios[mid], numpy_s[mid], compiled_s[mid]
+
+    speedup, numpy_s, compiled_s = benchmark.pedantic(
+        interleaved, rounds=1, iterations=1
+    )
+    benchmark.extra_info["speedup"] = speedup
+    benchmark.extra_info["numpy_s"] = numpy_s
+    benchmark.extra_info["compiled_s"] = compiled_s
+    benchmark.extra_info["repeats"] = COMPILED_REPEATS
+
+
 def test_bench_gather_scatter(benchmark):
     """Direct-stiffness round trip on a 4x4x4 mesh at N=7."""
     ref = ReferenceElement.from_degree(7)

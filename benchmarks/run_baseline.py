@@ -132,6 +132,18 @@ def derive(data: dict) -> dict:
             derived[f"apply_a_{case}_compiled_speedup"] = float(
                 info["speedup"]
             )
+    for case in ("n3_e8", "n7_e8"):
+        step = bench_of(data, f"test_bench_cg_iter_compiled[{case}]")
+        info = step.get("extra_info", {}) if step else {}
+        if info.get("speedup"):
+            # One CG iteration (compiled operator + step) with the
+            # compiled step vs the numpy step: median of interleaved
+            # per-repeat ratios (tracked, not gated).
+            derived[f"cg_iter_{case}_numpy_s"] = float(info["numpy_s"])
+            derived[f"cg_iter_{case}_compiled_s"] = float(info["compiled_s"])
+            derived[f"cg_iter_{case}_compiled_speedup"] = float(
+                info["speedup"]
+            )
     cg_plain = mean_of(data, "test_bench_cg_solve")
     cg_ws = mean_of(data, "test_bench_cg_solve_workspace")
     if cg_plain and cg_ws:

@@ -15,7 +15,8 @@ crosses one GIL.  This demo runs the process-level tier:
    the thread-shard does — same routers, same watermark semantics,
 3. verify every result that crossed a process boundary is bit-identical
    to a sequential warm ``cg_solve`` — the parent and the workers attest
-   the same operator path (the compiled artifact's key, or numpy),
+   the same operator path and CG step (compiled artifact keys, or
+   numpy),
 4. close: every worker drains, the processes join, and the shared
    blocks are unlinked from ``/dev/shm``.
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro import BoxMesh, PoissonProblem, ReferenceElement, cg_solve
 from repro.sem import sine_manufactured
+from repro.sem.compiled import step_status
 from repro.serve import ProcessShardedSolveService
 
 
@@ -77,6 +79,13 @@ def main() -> None:
         print(f"parent and workers run the {status.path} operator"
               + (f" (artifact {status.key})" if status.key else
                  f" ({status.reason})"))
+        # ...and the same CG step (compiled artifact or numpy).
+        step = step_status()
+        steps = {(info["cg_step"], info["cg_step_key"]) for info in infos}
+        assert steps == {(step.path, step.key)}, (steps, step)
+        print(f"parent and workers run the {step.path} CG step"
+              + (f" (artifact {step.key})" if step.key else
+                 f" ({step.reason})"))
 
         # 2. A keyed tenant stream through consistent-hash routing.
         keys = [f"tenant-{k % 6}" for k in range(len(requests))]

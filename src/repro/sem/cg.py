@@ -6,29 +6,43 @@ Jacobi-preconditioned CG over the matrix-free SEM operator.  This module
 provides that solver with an operator-callback interface so the FPGA
 accelerator simulator can be swapped in as the ``Ax`` backend.
 
-The inner loop is allocation-free: every vector (``x``, ``r``, ``z``,
-``p``, ``Ap`` and one axpy scratch) is bound once at entry — from a
-:class:`~repro.sem.workspace.SolverWorkspace` when one is passed,
-otherwise freshly allocated — and every update runs through in-place
-ufuncs (``np.multiply``/``np.add`` with ``out=``).  If the operator
-callback accepts an ``out=`` keyword (as
-:meth:`repro.sem.poisson.PoissonProblem.apply_A` does), ``A p`` is also
-computed without allocating, so a warm iteration performs zero
-field-sized heap allocations.
+**One loop.**  :func:`cg_solve_batched` iterates a stacked ``(B, n)``
+block of right-hand sides in lockstep, with per-system convergence
+masking and optionally per-system ``tol``/``maxiter`` — the multi-tenant
+serving path.  :func:`cg_solve` is its ``B = 1`` case: an ``(n,)`` rhs
+becomes one row, and the operator still receives ``(n,)`` vectors.  The
+mixed-precision solvers are the same pair again:
+:func:`cg_solve_mixed` is the ``B = 1`` case of
+:func:`cg_solve_batched_mixed`, whose fp32 correction solves run the
+same loop.
 
-:func:`cg_solve_batched` extends the same discipline to a stacked
-``(B, n)`` block of right-hand sides: one operator application and one
-set of fused ``(B, n)`` vector updates per iteration serve all ``B``
-systems, with per-system convergence masking and (optionally)
-per-system ``tol``/``maxiter`` — the multi-tenant serving path (a
-``(B, n)`` rhs passed to :func:`cg_solve` dispatches there).
+**One step per iteration.**  An iteration is one operator application
+plus one *step* over the active rows: ``p^T A p`` with breakdown
+detection, ``x += alpha p``, ``r -= alpha A p``, ``z = M^-1 r`` with
+``r^T z`` and ``r^T r`` in the same pass, ``beta``, ``p = z + beta p``,
+the residual norm, and each row's stop/cap bookkeeping.  The step is the
+compiled C pass of :class:`repro.sem.compiled.CompiledStep` (one foreign
+call) whenever its artifact loads, and the numpy reference
+:class:`NumpyStep` otherwise; :func:`repro.sem.compiled.step_status`
+says which runs.  Nothing else selects between them.
 
-Both paths accumulate their inner products with the same fused
-``multiply`` + pairwise-``sum`` sequence (rather than BLAS ``ddot``,
-whose accumulation order differs in the last ulp), so a system solved
-inside a stacked block is **bit-identical** to the same system solved
-alone — the property the micro-batching serving layer
-(:mod:`repro.serve`) is built on.
+**Bit identity.**  A system solved inside a stacked block is
+bit-identical to the same system solved alone — the property the
+micro-batching serving layer (:mod:`repro.serve`) is built on.  The
+compiled step updates each row in its own pass, and its inner products
+keep fixed-width lane partials by element index, summed in a fixed
+order, so a row's bits depend neither on the batch size nor on its
+position or address alignment.  The numpy step reduces each row with
+numpy's per-row multiply + pairwise sum.  fp32 vectors keep fp64
+accumulators on both steps, and ``alpha``/``beta`` are rounded to the
+vector dtype before they scale a vector.  The two steps agree with each
+other to a tolerance, not bit for bit.
+
+**No per-iteration allocation.**  Every vector is bound once per solve
+— from a :class:`~repro.sem.workspace.SolverWorkspace` when one is
+passed — and an operator that accepts ``out=`` (as
+:meth:`repro.sem.poisson.PoissonProblem.apply_A` does) writes ``A p``
+in place, so a warm iteration allocates no field-sized array.
 """
 
 from __future__ import annotations
@@ -40,11 +54,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.analysis.annotations import hot_path
+from repro.sem import compiled
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.sem.workspace import SolverWorkspace
 
 Operator = Callable[[NDArray[np.float64]], NDArray[np.float64]]
+
+#: Step entry point suffix per vector dtype (see
+#: :data:`repro.sem.compiled.COVERED_DTYPES`).
+_STEP_SUFFIX = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
 
 
 @dataclass(frozen=True)
@@ -87,6 +106,41 @@ def _operator_accepts_out(apply_A: Operator) -> bool:
     return accepts_keyword(apply_A, "out")
 
 
+def _applier(apply_A: Operator) -> Callable[[NDArray, NDArray], None]:
+    """``apply_into(vec, dst)``: ``dst = A vec``, in place when it can."""
+    out_ok = _operator_accepts_out(apply_A)
+
+    @hot_path
+    def apply_into(vec: NDArray, dst: NDArray) -> None:
+        # Operators may accept ``out=`` yet still return a fresh array
+        # (only writing into ``out`` is optional); honor the return
+        # value whenever it isn't the destination buffer itself.
+        res_arr = apply_A(vec, out=dst) if out_ok else apply_A(vec)
+        if res_arr is not dst:
+            np.copyto(dst, res_arr)
+
+    return apply_into
+
+
+def _one_row(b: NDArray, x0, tol, maxiter) -> "NDArray | None":
+    """Validate a single-system solve's arguments; ``x0`` as one row."""
+    if b.ndim != 1:
+        raise ValueError(
+            f"rhs must be 1-D (or (B, n) for a batched solve), "
+            f"got shape {b.shape}"
+        )
+    if np.ndim(tol) != 0 or np.ndim(maxiter) != 0:
+        raise ValueError(
+            "per-system tol/maxiter arrays require a stacked (B, n) rhs"
+        )
+    if x0 is None:
+        return None
+    x0 = np.asarray(x0)
+    if x0.shape != b.shape:
+        raise ValueError(f"x0 shape {x0.shape} != b shape {b.shape}")
+    return x0[None]
+
+
 def cg_solve(
     apply_A: Operator,
     b: NDArray[np.float64],
@@ -99,11 +153,16 @@ def cg_solve(
 ) -> "CGResult | BatchedCGResult":
     """Solve ``A x = b`` for SPD ``A`` with (Jacobi-)preconditioned CG.
 
+    The ``B = 1`` case of :func:`cg_solve_batched`: the same loop and
+    step, so a system solved here is bit-identical to the same system
+    solved inside a stacked block.
+
     Parameters
     ----------
     apply_A:
-        Matrix-free operator callback.  If it accepts an ``out=``
-        keyword, results are written into a preallocated buffer.
+        Matrix-free operator callback on ``(n,)`` vectors.  If it
+        accepts an ``out=`` keyword, results are written into a
+        preallocated buffer.
     b:
         Right-hand side.  A stacked ``(B, n)`` block solves ``B``
         independent systems at once through
@@ -119,7 +178,8 @@ def cg_solve(
         A ``(B,)`` array is accepted only with a stacked rhs (per-system
         tolerances; see :func:`cg_solve_batched`).
     maxiter:
-        Iteration cap (``(B,)`` array accepted only with a stacked rhs).
+        Iteration cap, ``>= 0`` (``(B,)`` array accepted only with a
+        stacked rhs).
     workspace:
         Optional :class:`~repro.sem.workspace.SolverWorkspace` supplying
         the five CG vectors plus scratch (sized for ``b``).  The
@@ -128,13 +188,10 @@ def cg_solve(
     dtype:
         Floating dtype of the iteration's *vectors* (``b``, ``x``,
         ``r``, ``p``, …).  ``float64`` (the default) is the historical
-        bit-exact path; ``float32`` is the inner loop of the
-        mixed-precision solvers (:func:`cg_solve_mixed`) — vector
-        storage and updates run in fp32 while every inner product is
-        still **accumulated in fp64** with the same fused
-        multiply + pairwise-sum sequence, so the batched/sequential
-        bit-identity contract carries over unchanged.  A supplied
-        ``workspace`` must match this dtype.
+        path; ``float32`` is the inner loop of the mixed-precision
+        solvers (:func:`cg_solve_mixed`) — vector storage and updates
+        run in fp32 while every inner product is still **accumulated
+        in fp64**.  A supplied ``workspace`` must match this dtype.
 
     Returns
     -------
@@ -146,8 +203,9 @@ def cg_solve(
     ------
     ValueError
         On shape mismatches, non-positive preconditioner entries, a
-        non-finite ``tol``, or a breakdown (``p^T A p <= 0``), which
-        indicates the operator is not SPD on this subspace.
+        non-finite ``tol``, a negative ``maxiter``, or a breakdown
+        (``p^T A p <= 0``), which indicates the operator is not SPD on
+        this subspace.
 
     Notes
     -----
@@ -161,135 +219,19 @@ def cg_solve(
     dtype = np.dtype(dtype)
     b = np.asarray(b, dtype=dtype)
     if b.ndim == 2:
-        # Stacked multi-RHS block: hand off to the batched loop (one
-        # warm workspace carries all systems; see cg_solve_batched).
         return cg_solve_batched(
             apply_A, b, x0=x0, precond_diag=precond_diag, tol=tol,
             maxiter=maxiter, workspace=workspace, dtype=dtype,
         )
-    if b.ndim != 1:
-        raise ValueError(
-            f"rhs must be 1-D (or (B, n) for a batched solve), "
-            f"got shape {b.shape}"
-        )
-    if np.ndim(tol) != 0 or np.ndim(maxiter) != 0:
-        raise ValueError(
-            "per-system tol/maxiter arrays require a stacked (B, n) rhs"
-        )
-    if not np.isfinite(tol):
-        # A NaN tolerance would silently diverge from the batched path
-        # (whose active-mask comparison treats NaN as "already done").
-        raise ValueError(f"tol must be finite, got {tol}")
-    if workspace is not None:
-        workspace.require_batch(1)
-        workspace.require_global(b.shape[0])
-        if workspace.cg_x.dtype != dtype:
-            raise ValueError(
-                f"workspace dtype {workspace.cg_x.dtype} != solve "
-                f"dtype {dtype}"
-            )
-        x, r, z_buf, p, ap, tmp = (
-            workspace.cg_x, workspace.cg_r, workspace.cg_z,
-            workspace.cg_p, workspace.cg_ap, workspace.cg_tmp,
-        )
-    else:
-        x, r, z_buf, p, ap, tmp = (np.empty_like(b) for _ in range(6))
-    if x0 is None:
-        x.fill(0.0)
-    else:
-        x0 = np.asarray(x0, dtype=dtype)
-        if x0.shape != b.shape:
-            raise ValueError(f"x0 shape {x0.shape} != b shape {b.shape}")
-        np.copyto(x, x0)
-    if precond_diag is not None:
-        md = np.asarray(precond_diag, dtype=dtype)
-        if md.shape != b.shape:
-            raise ValueError(f"preconditioner shape {md.shape} != {b.shape}")
-        if np.any(md <= 0):
-            raise ValueError("Jacobi preconditioner has non-positive entries")
-        if workspace is not None:
-            inv_m = workspace.cg_invm
-            np.divide(1.0, md, out=inv_m)
-        else:
-            inv_m = 1.0 / md
-        z = z_buf
-    else:
-        inv_m = None
-        z = r  # unpreconditioned: z aliases r, no copy needed
-
-    out_ok = _operator_accepts_out(apply_A)
-
-    @hot_path
-    def apply_into(vec: NDArray[np.float64], dst: NDArray[np.float64]) -> None:
-        # Operators may accept ``out=`` yet still return a fresh array
-        # (only writing into ``out`` is optional); honor the return
-        # value whenever it isn't the destination buffer itself.
-        res = apply_A(vec, out=dst) if out_ok else apply_A(vec)
-        if res is not dst:
-            np.copyto(dst, res)
-
-    @hot_path
-    def fused_dot(
-        a_vec: NDArray[np.float64], b_vec: NDArray[np.float64]
-    ) -> float:
-        # multiply + pairwise sum, not BLAS ddot: the exact accumulation
-        # the batched loop's row_dots performs, so a solve here is
-        # bit-identical to the same system inside a stacked block.  (It
-        # also avoids np.linalg.norm's x*x field-sized temporary.)
-        # The explicit fp64 accumulator is a no-op for fp64 vectors and
-        # the load-bearing half of the fp32 contract: products round to
-        # fp32 storage, the sum never does.
-        np.multiply(a_vec, b_vec, out=tmp)
-        return float(np.sum(tmp, dtype=np.float64))
-
-    apply_into(x, ap)
-    np.subtract(b, ap, out=r)
-    if inv_m is not None:
-        np.multiply(r, inv_m, out=z)
-    np.copyto(p, z)
-    rz = fused_dot(r, z)
-    b_norm = float(np.sqrt(fused_dot(b, b)))
-    stop = tol * (b_norm if b_norm > 0 else 1.0)
-
-    history = [float(np.sqrt(fused_dot(r, r)))]
-    converged = history[0] <= stop
-    it = 0
-    while not converged and it < maxiter:
-        apply_into(p, ap)
-        pap = fused_dot(p, ap)
-        if pap <= 0.0:
-            if abs(pap) < 1e-300:
-                # Exact zero direction: the Krylov subspace is exhausted
-                # and the iterate solves the system on it exactly —
-                # report convergence (matching cg_solve_batched).
-                converged = True
-                break
-            raise ValueError(
-                f"CG breakdown: p^T A p = {pap:g} <= 0 (operator not SPD?)"
-            )
-        alpha = rz / pap
-        np.multiply(p, alpha, out=tmp)
-        x += tmp
-        np.multiply(ap, alpha, out=tmp)
-        r -= tmp
-        if inv_m is not None:
-            np.multiply(r, inv_m, out=z)
-        rz_new = fused_dot(r, z)
-        beta = rz_new / rz
-        rz = rz_new
-        np.multiply(p, beta, out=p)
-        p += z
-        it += 1
-        res = float(np.sqrt(fused_dot(r, r)))
-        history.append(res)
-        converged = res <= stop
-
+    x0 = _one_row(b, x0, tol, maxiter)
+    res = _cg(apply_A, b[None], x0, precond_diag, tol, maxiter, workspace,
+              dtype, vector_op=True)
     return CGResult(
-        x=x.copy() if workspace is not None else x,
-        iterations=it,
-        converged=converged,
-        residual_norm=history[-1],
-        residual_history=tuple(history),
+        x=res.x[0],
+        iterations=int(res.iterations[0]),
+        converged=bool(res.converged[0]),
+        residual_norm=float(res.residual_norm[0]),
+        residual_history=tuple(res.residual_history[:, 0].tolist()),
     )
 
 
@@ -355,17 +297,15 @@ def cg_solve_batched(
     All ``B`` systems share the operator ``A`` (and optionally the
     Jacobi diagonal), so every iteration applies the operator to one
     stacked ``(B, n)`` block — the matrix-free SEM ``Ax`` then reads the
-    geometric factors once per element block for all systems, and the
-    CG vector updates run as single fused ``(B, n)`` ufuncs instead of
-    ``B`` separate Python-level loops.  This is the multi-tenant serving
-    primitive: one warm workspace amortizes geometry traffic and
+    geometric factors once per element block for all systems — and runs
+    one step over every active system.  This is the multi-tenant
+    serving primitive: one warm workspace amortizes geometry traffic and
     dispatch overhead across every solve in flight.
 
-    Convergence is masked per system: each system stops updating
-    (``alpha_i = 0``) once its own residual criterion
-    ``||r_i|| <= tol * ||b_i||`` is met, while the remaining systems
-    iterate on — numerically equivalent to solving each system
-    separately to the same tolerance.
+    Convergence is masked per system: each system stops updating once
+    its own residual criterion ``||r_i|| <= tol * ||b_i||`` is met,
+    while the remaining systems iterate on — the frozen system's
+    iterate is exactly the one it would end with if solved alone.
 
     Parameters
     ----------
@@ -384,10 +324,10 @@ def cg_solve_batched(
     tol, maxiter:
         As :func:`cg_solve`; the tolerance is applied per system.
         Either may also be a ``(B,)`` array giving each system its own
-        request-level tolerance / iteration cap: a system freezes
-        (bit-identically, ``alpha_i = 0``) once it meets *its* criterion
-        or exhausts *its* cap, so heterogeneous requests coalesced into
-        one stacked solve finish exactly as if solved separately.
+        request-level tolerance / iteration cap: a system freezes once
+        it meets *its* criterion or exhausts *its* cap, so
+        heterogeneous requests coalesced into one stacked solve finish
+        exactly as if solved separately.
     workspace:
         Optional :class:`~repro.sem.workspace.SolverWorkspace` built
         with ``batch=B``; supplies every ``(B, n)`` CG vector plus the
@@ -422,7 +362,12 @@ def cg_solve_batched(
     b = np.asarray(b, dtype=dtype)
     if b.ndim != 2:
         raise ValueError(f"batched rhs must be (B, n), got shape {b.shape}")
-    nb, n = b.shape
+    return _cg(apply_A, b, x0, precond_diag, tol, maxiter, workspace, dtype,
+               vector_op=False)
+
+
+def _stopping(tol, maxiter, nb: int) -> tuple[NDArray, NDArray[np.int64]]:
+    """Validated per-system tolerances and ``(nb,)`` iteration caps."""
     if nb < 1:
         raise ValueError("batched rhs needs at least one system")
     tol_arr = np.asarray(tol, dtype=np.float64)
@@ -434,8 +379,7 @@ def cg_solve_batched(
         )
     if not np.all(np.isfinite(tol_arr)):
         # NaN poisons the res > stop active mask (comparisons with NaN
-        # are False), freezing that system at 0 iterations where the
-        # sequential path would have iterated — reject it loudly.
+        # are False), freezing that system at 0 iterations — reject it.
         raise ValueError("tol entries must be finite")
     miter = np.asarray(maxiter, dtype=np.int64)
     if miter.ndim not in (0, 1) or (
@@ -446,7 +390,167 @@ def cg_solve_batched(
         )
     if miter.size and miter.min() < 0:
         raise ValueError("maxiter entries must be >= 0")
-    iter_cap = int(miter.max()) if miter.size else 0
+    return tol_arr, np.full(nb, miter) if miter.ndim == 0 else miter
+
+
+def _check_diag(precond_diag, dtype, nb: int, n: int) -> NDArray:
+    """The Jacobi diagonal as ``(n,)`` or ``(nb, n)``, validated."""
+    md = np.asarray(precond_diag, dtype=dtype)
+    if md.shape not in ((n,), (nb, n)):
+        raise ValueError(
+            f"preconditioner shape {md.shape} must be ({n},) or {(nb, n)}"
+        )
+    if np.any(md <= 0):
+        raise ValueError("Jacobi preconditioner has non-positive entries")
+    return md
+
+
+def _row_dots(a: NDArray, b: NDArray, tmp: NDArray, dst: NDArray) -> None:
+    """Per-row inner products into fp64 ``dst``, via scratch ``tmp``."""
+    np.multiply(a, b, out=tmp)
+    np.sum(tmp, axis=1, out=dst, dtype=np.float64)
+
+
+def _stop_norms(b: NDArray, tol_arr: NDArray, tmp: NDArray,
+                stop: NDArray) -> None:
+    """``stop_i = tol_i * ||b_i||`` (``tol_i`` itself when ``b_i = 0``)."""
+    _row_dots(b, b, tmp, stop)
+    np.sqrt(stop, out=stop)
+    stop[...] = tol_arr * np.where(stop > 0, stop, 1.0)
+
+
+class NumpyStep:
+    """The reference CG step: the masked numpy iteration body.
+
+    Called exactly like :class:`repro.sem.compiled.CompiledStep` —
+    ``step(it)`` returns the number of rows still active, or ``-1``
+    (nothing updated) when an active row has ``p^T A p <= 0`` — and runs
+    only when the compiled step is unavailable.  Frozen rows take
+    ``alpha = beta = 0``, so their ``x`` and ``r`` stay exactly put.
+    ``tmp`` is a ``(B, n)`` scratch vector, ``alpha``/``beta`` ``(B,)``
+    fp64 scratch.
+    """
+
+    def __init__(self, x, r, z, p, ap, inv_m, rz, pap, res, stop, active,
+                 iterations, maxiter, *, tmp, alpha, beta) -> None:
+        self.x, self.r, self.z, self.p, self.ap = x, r, z, p, ap
+        self.inv_m, self.tmp = inv_m, tmp
+        self.rz, self.pap, self.res, self.stop = rz, pap, res, stop
+        self.active, self.iterations, self.maxiter = active, iterations, maxiter
+        self.alpha, self.beta = alpha, beta
+        alpha.fill(0.0)
+        beta.fill(0.0)
+        nb = x.shape[0]
+        if x.dtype == np.float64:
+            self.alpha_v, self.beta_v = alpha, beta
+        else:
+            # The scalar recurrence stays fp64, but a vector is scaled by
+            # the scalar rounded to its dtype: broadcasting the fp64
+            # array would promote the multiply and round only on store.
+            self.alpha_v = np.empty(nb, dtype=x.dtype)
+            self.beta_v = np.empty(nb, dtype=x.dtype)
+        self.alpha_col = self.alpha_v[:, None]
+        self.beta_col = self.beta_v[:, None]
+        self.active_col = active[:, None]
+        self.flag = np.empty(nb, dtype=bool)
+        self.capped = np.empty(nb, dtype=bool)
+
+    @hot_path
+    def __call__(self, it: int) -> int:
+        active, flag = self.active, self.flag
+        _row_dots(self.p, self.ap, self.tmp, self.pap)
+        np.less_equal(self.pap, 0.0, out=flag)
+        np.logical_and(flag, active, out=flag)
+        if flag.any():
+            return -1
+        np.divide(self.rz, self.pap, out=self.alpha, where=active)
+        np.multiply(self.alpha, active, out=self.alpha)
+        if self.alpha_v is not self.alpha:
+            np.copyto(self.alpha_v, self.alpha)
+        np.multiply(self.p, self.alpha_col, out=self.tmp)
+        self.x += self.tmp
+        np.multiply(self.ap, self.alpha_col, out=self.tmp)
+        self.r -= self.tmp
+        if self.inv_m is not None:
+            np.multiply(self.r, self.inv_m, out=self.z)
+        _row_dots(self.r, self.z, self.tmp, self.pap)  # pap now holds rz_new
+        np.divide(self.pap, self.rz, out=self.beta, where=active)
+        np.multiply(self.beta, active, out=self.beta)
+        np.copyto(self.rz, self.pap)
+        if self.beta_v is not self.beta:
+            np.copyto(self.beta_v, self.beta)
+        np.multiply(self.p, self.beta_col, out=self.p)
+        np.multiply(self.z, self.active_col, out=self.tmp)
+        self.p += self.tmp
+        _row_dots(self.r, self.r, self.tmp, self.res)
+        np.sqrt(self.res, out=self.res)
+        # Rows that met their criterion or their own cap freeze here.
+        np.less_equal(self.res, self.stop, out=flag)
+        np.less_equal(self.maxiter, it + 1, out=self.capped)
+        np.logical_or(flag, self.capped, out=flag)
+        np.logical_and(flag, active, out=flag)
+        self.iterations[flag] = it + 1
+        np.logical_xor(active, flag, out=active)
+        return int(np.count_nonzero(active))
+
+
+def _freeze_exhausted(pap, active, iterations, exhausted, it: int) -> int:
+    """Handle a step that found ``p^T A p <= 0`` on an active row.
+
+    Exact-zero directions mean that row's Krylov subspace is exhausted
+    and its iterate solves the system on it: freeze the row (it counts
+    as converged) and return how many rows remain active.  Anything
+    else is a genuine breakdown and raises.
+    """
+    bad = active & (pap <= 0.0)
+    zero = bad & (np.abs(pap) < 1e-300)
+    if not np.array_equal(bad, zero):
+        worst = float(pap[bad & ~zero].min())
+        raise ValueError(
+            f"CG breakdown: p^T A p = {worst:g} <= 0 on an active "
+            "system (operator not SPD?)"
+        )
+    active &= ~zero
+    exhausted |= zero
+    iterations[zero] = it
+    return int(np.count_nonzero(active))
+
+
+def _bind_step(dtype, vectors, workspace, **scratch):
+    """The step over ``vectors``: compiled when its artifact loads.
+
+    Packing a compiled step's pointers costs more than a small solve's
+    whole setup, so a workspace keeps its bound compiled steps (by
+    artifact, dtype and preconditioner layout; every other buffer is the
+    workspace's own).  ``scratch`` feeds the numpy step.
+    """
+    nb = vectors[0].shape[0]
+    lib = compiled.load_step()
+    if isinstance(lib, str) or dtype not in _STEP_SUFFIX:
+        return NumpyStep(*vectors, np.zeros(nb, dtype=np.int64),
+                         np.zeros(nb, dtype=np.int64), **scratch)
+    inv_m = vectors[5]
+    key = (lib.path, dtype, None if inv_m is None else inv_m.ndim)
+    step = None if workspace is None else workspace.cg_steps.get(key)
+    if step is None:
+        step = compiled.CompiledStep(
+            lib.functions[_STEP_SUFFIX[dtype]], *vectors,
+            np.zeros(nb, dtype=np.int64), np.zeros(nb, dtype=np.int64),
+        )
+        if workspace is not None:
+            workspace.cg_steps[key] = step
+    return step
+
+
+def _cg(apply_A, b, x0, precond_diag, tol, maxiter, workspace, dtype,
+        vector_op: bool) -> BatchedCGResult:
+    """The CG loop over a ``(B, n)`` block ``b`` of ``dtype``.
+
+    ``vector_op`` (a single-system solve) calls ``apply_A`` on the
+    ``(n,)`` rows instead of the ``(1, n)`` block.
+    """
+    nb, n = b.shape
+    tol_arr, miter = _stopping(tol, maxiter, nb)
     if workspace is not None:
         workspace.require_batch(nb)
         workspace.require_global(n)
@@ -457,21 +561,23 @@ def cg_solve_batched(
             )
         # reshape(nb, -1) is a no-op view for a batch>1 workspace and
         # lifts the unbatched (n,) buffers of a batch-of-one solve.
-        x, r, z_buf, p, ap, tmp = (
+        x, r, z_buf, p, ap, tmp, invm_buf = (
             buf.reshape(nb, -1) for buf in (
                 workspace.cg_x, workspace.cg_r, workspace.cg_z,
                 workspace.cg_p, workspace.cg_ap, workspace.cg_tmp,
+                workspace.cg_invm,
             )
         )
-        rz, pap, alpha, beta = (
-            workspace.cg_rz, workspace.cg_pap,
-            workspace.cg_alpha, workspace.cg_beta,
+        rz, pap, alpha, beta, res, stop = (
+            workspace.cg_rz, workspace.cg_pap, workspace.cg_alpha,
+            workspace.cg_beta, workspace.cg_res, workspace.cg_stop,
         )
-        res, stop, active = (
-            workspace.cg_res, workspace.cg_stop, workspace.cg_active,
-        )
+        active = workspace.cg_active
     else:
-        x, r, z_buf, p, ap, tmp = (np.empty_like(b) for _ in range(6))
+        x, r, z_buf, p, ap, tmp = (
+            np.empty((nb, n), dtype=dtype) for _ in range(6)
+        )
+        invm_buf = None
         rz, pap, alpha, beta, res, stop = (np.empty(nb) for _ in range(6))
         active = np.empty(nb, dtype=bool)
     if x0 is None:
@@ -482,145 +588,67 @@ def cg_solve_batched(
             raise ValueError(f"x0 shape {x0.shape} != b shape {b.shape}")
         np.copyto(x, x0)
     if precond_diag is not None:
-        md = np.asarray(precond_diag, dtype=dtype)
-        if md.shape not in ((n,), (nb, n)):
-            raise ValueError(
-                f"preconditioner shape {md.shape} must be ({n},) "
-                f"or {(nb, n)}"
-            )
-        if np.any(md <= 0):
-            raise ValueError("Jacobi preconditioner has non-positive entries")
-        if workspace is not None:
-            inv_m = workspace.cg_invm
-            inv_m[...] = 1.0 / md  # broadcast a shared (n,) diagonal
+        md = _check_diag(precond_diag, dtype, nb, n)
+        if invm_buf is None:
+            inv_m = np.empty(md.shape, dtype=dtype)
         else:
-            inv_m = np.broadcast_to(1.0 / md, b.shape)
+            inv_m = invm_buf[0] if md.ndim == 1 else invm_buf
+        np.divide(1.0, md, out=inv_m)
         z = z_buf
     else:
         inv_m = None
         z = r  # unpreconditioned: z aliases r, no copy needed
 
-    out_ok = _operator_accepts_out(apply_A)
+    apply_into = _applier(apply_A)
+    x_op, p_op, ap_op = (x[0], p[0], ap[0]) if vector_op else (x, p, ap)
 
-    @hot_path
-    def apply_into(vec: NDArray[np.float64], dst: NDArray[np.float64]) -> None:
-        res_arr = apply_A(vec, out=dst) if out_ok else apply_A(vec)
-        if res_arr is not dst:
-            np.copyto(dst, res_arr)
-
-    @hot_path
-    def row_dots(
-        a_vec: NDArray[np.float64],
-        b_vec: NDArray[np.float64],
-        dst: NDArray[np.float64],
-    ) -> None:
-        # Fused per-system inner products without a (B, n) temporary.
-        # dtype=float64 pins the accumulator (no-op for fp64 vectors,
-        # the precision contract for fp32 ones — dst is always fp64).
-        np.multiply(a_vec, b_vec, out=tmp)
-        np.sum(tmp, axis=1, out=dst, dtype=np.float64)
-
-    apply_into(x, ap)
+    apply_into(x_op, ap_op)
     np.subtract(b, ap, out=r)
     if inv_m is not None:
         np.multiply(r, inv_m, out=z)
     np.copyto(p, z)
-    row_dots(r, z, rz)
-    row_dots(b, b, stop)
-    np.sqrt(stop, out=stop)  # ||b_i||
-    stop[...] = tol_arr * np.where(stop > 0, stop, 1.0)
-
-    row_dots(r, r, res)
+    _row_dots(r, z, tmp, rz)
+    _stop_norms(b, tol_arr, tmp, stop)
+    _row_dots(r, r, tmp, res)
     np.sqrt(res, out=res)
     np.greater(res, stop, out=active)
-    if miter.ndim:
-        active &= miter > 0  # zero-cap requests never start iterating
-    iterations = np.zeros(nb, dtype=np.int64)
-    # Systems frozen by subspace exhaustion are solved on their Krylov
+    active &= miter > 0  # zero-cap requests never start iterating
+    step = _bind_step(dtype, (x, r, z, p, ap, inv_m, rz, pap, res, stop,
+                              active), workspace,
+                      tmp=tmp, alpha=alpha, beta=beta)
+    iterations = step.iterations
+    iterations.fill(0)
+    np.copyto(step.maxiter, miter)
+    # Rows frozen by subspace exhaustion are solved on their Krylov
     # subspace even though their residual criterion never fires; they
     # are folded into the returned ``converged``.
-    exhausted_total = np.zeros(nb, dtype=bool)
-    alpha.fill(0.0)
-    beta.fill(0.0)
-    if dtype == np.float64:
-        # fp64 vectors: broadcast the fp64 scalars directly.
-        alpha_v, beta_v = alpha, beta
-    else:
-        # fp32 vectors: the scalar recurrence (rz, alpha, beta) stays
-        # fp64, but the *vector* updates must multiply by the
-        # dtype-rounded scalar — cg_solve's ``p * alpha`` casts its
-        # Python-float alpha to fp32 and multiplies in fp32, whereas
-        # broadcasting the fp64 array here would promote the multiply
-        # to fp64 and round only on store, breaking the
-        # batched/sequential bit-identity contract.
-        alpha_v = np.empty(nb, dtype=dtype)
-        beta_v = np.empty(nb, dtype=dtype)
-    history = [res.copy()]
-    it = 0
-    while bool(np.any(active)) and it < iter_cap:
-        apply_into(p, ap)
-        row_dots(p, ap, pap)
-        bad = active & (pap <= 0.0)
-        if np.any(bad):
-            exhausted = bad & (np.abs(pap) < 1e-300)
-            if np.array_equal(bad, exhausted):
-                # Exact zero directions: those systems' subspaces are
-                # solved; freeze them and let the others continue.
-                active &= ~exhausted
-                exhausted_total |= exhausted
-                iterations[exhausted] = it
-                if not np.any(active):
-                    break
-            else:
-                worst = float(pap[bad & ~exhausted].min())
-                raise ValueError(
-                    f"CG breakdown: p^T A p = {worst:g} <= 0 on an active "
-                    "system (operator not SPD?)"
-                )
-        # Masked step: converged systems get alpha = beta = 0, freezing
-        # their x and r exactly (bit-for-bit) while the rest iterate.
-        np.divide(rz, pap, out=alpha, where=active)
-        np.multiply(alpha, active, out=alpha)
-        if alpha_v is not alpha:
-            np.copyto(alpha_v, alpha)  # round the step to the vector dtype
-        np.multiply(p, alpha_v[:, None], out=tmp)
-        x += tmp
-        np.multiply(ap, alpha_v[:, None], out=tmp)
-        r -= tmp
-        if inv_m is not None:
-            np.multiply(r, inv_m, out=z)
-        row_dots(r, z, pap)  # pap now carries rz_new
-        np.divide(pap, rz, out=beta, where=active)
-        np.multiply(beta, active, out=beta)
-        np.copyto(rz, pap)
-        if beta_v is not beta:
-            np.copyto(beta_v, beta)
-        np.multiply(p, beta_v[:, None], out=p)
-        # Only active systems pick up the new search direction (frozen
-        # systems have beta = 0, so their p is simply parked at zero).
-        np.multiply(z, active[:, None], out=tmp)
-        p += tmp
-        it += 1
-        row_dots(r, r, res)
-        np.sqrt(res, out=res)
-        history.append(res.copy())
-        newly_done = active & (res <= stop)
-        iterations[newly_done] = it
-        active &= ~newly_done
-        if miter.ndim:
-            # Per-request iteration caps: freeze systems at their own
-            # maxiter (their x is already exactly the capped iterate).
-            capped = active & (it >= miter)
-            iterations[capped] = it
-            active &= ~capped
+    exhausted = np.zeros(nb, dtype=bool)
 
-    iterations[active] = it  # systems that hit maxiter
+    iter_cap = int(miter.max())
+    history = np.empty((min(iter_cap, 63) + 1, nb))
+    history[0] = res
+    n_active = int(np.count_nonzero(active))
+    it = 0
+    while n_active and it < iter_cap:
+        apply_into(p_op, ap_op)
+        n_active = step(it)
+        if n_active < 0:
+            n_active = _freeze_exhausted(pap, active, iterations,
+                                         exhausted, it)
+            if not n_active:
+                break
+            n_active = step(it)
+        it += 1
+        if it == history.shape[0]:
+            history = np.concatenate([history, np.empty_like(history)])
+        history[it] = res
+
     return BatchedCGResult(
         x=x.copy() if workspace is not None else x,
-        iterations=iterations,
-        converged=(res <= stop) | exhausted_total,
+        iterations=iterations.copy(),
+        converged=(res <= stop) | exhausted,
         residual_norm=res.copy(),
-        residual_history=np.stack(history),
+        residual_history=history[:it + 1].copy(),
     )
 
 
@@ -770,8 +798,8 @@ def cg_solve_mixed(
     """Solve ``A x = b`` to fp64 ``tol`` with fp32 inner CG sweeps.
 
     Classic iterative refinement around the bandwidth-bound ``Ax``: the
-    expensive Krylov iteration runs entirely in fp32 (:func:`cg_solve`
-    with ``dtype=float32`` — half the bytes per DOF through the
+    expensive Krylov iteration runs entirely in fp32 (the CG loop with
+    ``dtype=float32`` — half the bytes per DOF through the
     sum-factorization kernels), while an outer fp64 loop recomputes the
     **true** residual ``r = b - A x``, feeds it back as the next fp32
     correction problem ``A d = r``, and accumulates ``x += d`` in fp64.
@@ -781,10 +809,13 @@ def cg_solve_mixed(
     make progress; a stalled sweep terminates with
     ``converged=False`` instead of burning the sweep cap).
 
+    The ``B = 1`` case of :func:`cg_solve_batched_mixed`.
+
     Parameters
     ----------
     apply_A:
-        fp64 operator callback (true-residual recomputation).
+        fp64 operator callback on ``(n,)`` vectors (true-residual
+        recomputation).
     apply_A32:
         fp32 operator callback over the same physical operator —
         typically the problem's fp32-geometry twin.  Must accept and
@@ -821,105 +852,18 @@ def cg_solve_mixed(
             workspace32=workspace32, inner_tol=inner_tol,
             max_sweeps=max_sweeps,
         )
-    if b.ndim != 1:
-        raise ValueError(
-            f"rhs must be 1-D (or (B, n) for a batched solve), "
-            f"got shape {b.shape}"
-        )
-    if np.ndim(tol) != 0 or np.ndim(maxiter) != 0:
-        raise ValueError(
-            "per-system tol/maxiter arrays require a stacked (B, n) rhs"
-        )
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    if workspace is not None:
-        workspace.require_batch(1)
-        workspace.require_global(b.shape[0])
-        if workspace.cg_x.dtype != np.float64:
-            raise ValueError(
-                f"outer workspace must be fp64, got {workspace.cg_x.dtype}"
-            )
-        x, r, ap, tmp = (
-            workspace.cg_x, workspace.cg_r, workspace.cg_ap,
-            workspace.cg_tmp,
-        )
-    else:
-        x, r, ap, tmp = (np.empty_like(b) for _ in range(4))
-    md32 = None
-    if precond_diag is not None:
-        md = np.asarray(precond_diag, dtype=np.float64)
-        if md.shape != b.shape:
-            raise ValueError(f"preconditioner shape {md.shape} != {b.shape}")
-        if np.any(md <= 0):
-            raise ValueError("Jacobi preconditioner has non-positive entries")
-        md32 = md.astype(np.float32)
-
-    out_ok = _operator_accepts_out(apply_A)
-
-    @hot_path
-    def apply_into(vec: NDArray[np.float64], dst: NDArray[np.float64]) -> None:
-        res = apply_A(vec, out=dst) if out_ok else apply_A(vec)
-        if res is not dst:
-            np.copyto(dst, res)
-
-    @hot_path
-    def fused_dot(
-        a_vec: NDArray[np.float64], b_vec: NDArray[np.float64]
-    ) -> float:
-        np.multiply(a_vec, b_vec, out=tmp)
-        return float(np.sum(tmp, dtype=np.float64))
-
-    if x0 is None:
-        x.fill(0.0)
-        np.copyto(r, b)  # r = b - A*0 without paying the operator
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != b.shape:
-            raise ValueError(f"x0 shape {x0.shape} != b shape {b.shape}")
-        np.copyto(x, x0)
-        apply_into(x, ap)
-        np.subtract(b, ap, out=r)
-    b_norm = float(np.sqrt(fused_dot(b, b)))
-    stop = tol * (b_norm if b_norm > 0 else 1.0)
-
-    history = [float(np.sqrt(fused_dot(r, r)))]
-    converged = history[0] <= stop
-    sweeps = 0
-    inner_counts: list[int] = []
-    while not converged and sweeps < max_sweeps:
-        # fp32 correction solve A d = r.  The cast of r is the sweep's
-        # only field-sized allocation; the correction starts from zero
-        # (the standard refinement step), so no x0 is passed.
-        inner = cg_solve(
-            apply_A32, r.astype(np.float32), precond_diag=md32,
-            tol=inner_tol, maxiter=maxiter, workspace=workspace32,
-            dtype=np.float32,
-        )
-        np.add(x, inner.x, out=x)  # fp64 accumulation of the update
-        apply_into(x, ap)
-        np.subtract(b, ap, out=r)  # TRUE residual, recomputed in fp64
-        res_norm = float(np.sqrt(fused_dot(r, r)))
-        sweeps += 1
-        inner_counts.append(int(inner.iterations))
-        converged = res_norm <= stop
-        if not converged and res_norm >= history[-1]:
-            # fp32 can no longer reduce the fp64 residual (conditioning
-            # exceeds what single precision resolves); stop burning
-            # sweeps and report honestly instead of looping to the cap.
-            history.append(res_norm)
-            break
-        history.append(res_norm)
-
+    x0 = _one_row(b, x0, tol, maxiter)
+    res = _mixed(apply_A, apply_A32, b[None], x0, precond_diag, tol,
+                 maxiter, workspace, workspace32, inner_tol, max_sweeps,
+                 vector_op=True)
     return MixedCGResult(
-        x=x.copy() if workspace is not None else x,
-        iterations=sum(inner_counts),
-        converged=converged,
-        residual_norm=history[-1],
-        residual_history=tuple(history),
-        sweeps=sweeps,
-        inner_iterations=tuple(inner_counts),
+        x=res.x[0],
+        iterations=int(res.iterations[0]),
+        converged=bool(res.converged[0]),
+        residual_norm=float(res.residual_norm[0]),
+        residual_history=tuple(res.residual_history[:, 0].tolist()),
+        sweeps=int(res.sweeps[0]),
+        inner_iterations=tuple(res.inner_iterations[:, 0].tolist()),
     )
 
 
@@ -938,16 +882,14 @@ def cg_solve_batched_mixed(
 ) -> BatchedMixedCGResult:
     """Mixed-precision refinement over a stacked ``(B, n)`` block.
 
-    The batched twin of :func:`cg_solve_mixed`: each sweep runs one
-    :func:`cg_solve_batched` fp32 correction solve over the whole block
-    (with per-system ``tol``/``maxiter`` honored by the inner loop),
-    then recomputes every system's true fp64 residual with a single
-    batched operator application.  Systems that have met their fp64
-    criterion are frozen exactly — their correction rhs is zeroed, the
-    inner loop leaves them at zero iterations, and their fp64 iterate
-    never moves — so a system refined inside a block finishes
-    bit-identically to the same system refined alone (given the
-    batched/sequential bit-identity of the underlying kernels).
+    Each sweep runs one fp32 :func:`cg_solve_batched` correction solve
+    over the whole block (with per-system ``tol``/``maxiter`` honored by
+    the inner loop), then recomputes every system's true fp64 residual
+    with a single batched operator application.  Systems that have met
+    their fp64 criterion are frozen exactly — their correction rhs is
+    zeroed, the inner loop leaves them at zero iterations, and their
+    fp64 iterate never moves — so a system refined inside a block
+    finishes bit-identically to the same system refined alone.
 
     Parameters are as :func:`cg_solve_mixed`, with ``tol``/``maxiter``
     optionally ``(B,)`` arrays (per-request tolerances / inner caps,
@@ -956,27 +898,18 @@ def cg_solve_batched_mixed(
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError(f"batched rhs must be (B, n), got shape {b.shape}")
+    return _mixed(apply_A, apply_A32, b, x0, precond_diag, tol, maxiter,
+                  workspace, workspace32, inner_tol, max_sweeps,
+                  vector_op=False)
+
+
+def _mixed(apply_A, apply_A32, b, x0, precond_diag, tol, maxiter,
+           workspace, workspace32, inner_tol, max_sweeps,
+           vector_op: bool) -> BatchedMixedCGResult:
+    """The refinement loop over a ``(B, n)`` fp64 block (see
+    :func:`_cg` for ``vector_op``)."""
     nb, n = b.shape
-    if nb < 1:
-        raise ValueError("batched rhs needs at least one system")
-    tol_arr = np.asarray(tol, dtype=np.float64)
-    if tol_arr.ndim not in (0, 1) or (
-        tol_arr.ndim == 1 and tol_arr.shape != (nb,)
-    ):
-        raise ValueError(
-            f"tol must be a scalar or ({nb},), got shape {tol_arr.shape}"
-        )
-    if not np.all(np.isfinite(tol_arr)):
-        raise ValueError("tol entries must be finite")
-    miter = np.asarray(maxiter, dtype=np.int64)
-    if miter.ndim not in (0, 1) or (
-        miter.ndim == 1 and miter.shape != (nb,)
-    ):
-        raise ValueError(
-            f"maxiter must be a scalar or ({nb},), got shape {miter.shape}"
-        )
-    if miter.size and miter.min() < 0:
-        raise ValueError("maxiter entries must be >= 0")
+    tol_arr, miter = _stopping(tol, maxiter, nb)
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if workspace is not None:
@@ -995,57 +928,31 @@ def cg_solve_batched_mixed(
         res, stop = workspace.cg_res, workspace.cg_stop
         active = workspace.cg_active
     else:
-        x, r, ap, tmp = (np.empty_like(b) for _ in range(4))
+        x, r, ap, tmp = (np.empty((nb, n)) for _ in range(4))
         res, stop = np.empty(nb), np.empty(nb)
         active = np.empty(nb, dtype=bool)
     md32 = None
     if precond_diag is not None:
-        md = np.asarray(precond_diag, dtype=np.float64)
-        if md.shape not in ((n,), (nb, n)):
-            raise ValueError(
-                f"preconditioner shape {md.shape} must be ({n},) "
-                f"or {(nb, n)}"
-            )
-        if np.any(md <= 0):
-            raise ValueError("Jacobi preconditioner has non-positive entries")
-        md32 = md.astype(np.float32)
+        md32 = _check_diag(precond_diag, np.float64, nb, n).astype(np.float32)
 
-    out_ok = _operator_accepts_out(apply_A)
-
-    @hot_path
-    def apply_into(vec: NDArray[np.float64], dst: NDArray[np.float64]) -> None:
-        res_arr = apply_A(vec, out=dst) if out_ok else apply_A(vec)
-        if res_arr is not dst:
-            np.copyto(dst, res_arr)
-
-    @hot_path
-    def row_dots(
-        a_vec: NDArray[np.float64],
-        b_vec: NDArray[np.float64],
-        dst: NDArray[np.float64],
-    ) -> None:
-        np.multiply(a_vec, b_vec, out=tmp)
-        np.sum(tmp, axis=1, out=dst, dtype=np.float64)
+    apply_into = _applier(apply_A)
+    x_op, ap_op = (x[0], ap[0]) if vector_op else (x, ap)
 
     if x0 is None:
         x.fill(0.0)
-        np.copyto(r, b)
+        np.copyto(r, b)  # r = b - A*0 without paying the operator
     else:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != b.shape:
             raise ValueError(f"x0 shape {x0.shape} != b shape {b.shape}")
         np.copyto(x, x0)
-        apply_into(x, ap)
+        apply_into(x_op, ap_op)
         np.subtract(b, ap, out=r)
-    row_dots(b, b, stop)
-    np.sqrt(stop, out=stop)
-    stop[...] = tol_arr * np.where(stop > 0, stop, 1.0)
-
-    row_dots(r, r, res)
+    _stop_norms(b, tol_arr, tmp, stop)
+    _row_dots(r, r, tmp, res)
     np.sqrt(res, out=res)
     np.greater(res, stop, out=active)
-    if miter.ndim:
-        active &= miter > 0  # zero-cap requests never start refining
+    active &= miter > 0  # zero-cap requests never start refining
 
     sweeps_arr = np.zeros(nb, dtype=np.int64)
     iterations = np.zeros(nb, dtype=np.int64)
@@ -1054,16 +961,17 @@ def cg_solve_batched_mixed(
     prev_res = res.copy()
     sweep = 0
     while bool(np.any(active)) and sweep < max_sweeps:
+        # fp32 correction solve A d = r, from zero (the standard
+        # refinement step).  Frozen systems get a zero rhs, hence a
+        # zero correction.
         r32 = r.astype(np.float32)
-        r32[~active] = 0.0  # frozen systems: zero rhs => zero correction
-        inner = cg_solve_batched(
-            apply_A32, r32, precond_diag=md32, tol=inner_tol,
-            maxiter=miter, workspace=workspace32, dtype=np.float32,
-        )
-        np.add(x, inner.x, out=x)  # frozen rows add exact zero
-        apply_into(x, ap)
-        np.subtract(b, ap, out=r)
-        row_dots(r, r, res)
+        r32[~active] = 0.0
+        inner = _cg(apply_A32, r32, None, md32, inner_tol, miter,
+                    workspace32, np.dtype(np.float32), vector_op)
+        np.add(x, inner.x, out=x)  # fp64 accumulation; frozen rows add 0
+        apply_into(x_op, ap_op)
+        np.subtract(b, ap, out=r)  # TRUE residual, recomputed in fp64
+        _row_dots(r, r, tmp, res)
         np.sqrt(res, out=res)
         sweep += 1
         sweep_iters = np.where(active, inner.iterations, 0).astype(np.int64)
@@ -1073,7 +981,9 @@ def cg_solve_batched_mixed(
         newly_done = active & (res <= stop)
         sweeps_arr[newly_done] = sweep
         active &= ~newly_done
-        # Per-system stall guard, mirroring the unbatched path.
+        # fp32 can no longer reduce this system's fp64 residual
+        # (conditioning exceeds what single precision resolves): stop
+        # burning sweeps on it and report honestly.
         stalled = active & (res >= prev_res)
         sweeps_arr[stalled] = sweep
         active &= ~stalled

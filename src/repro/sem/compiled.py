@@ -30,6 +30,16 @@ module is that dataflow on the CPU:
   once at bind time; a call converts only the input and output
   addresses.
 
+The same machinery builds a second, shape-agnostic unit: the CG step
+(:func:`step_source`, :func:`load_step`, :class:`CompiledStep`).  One
+call does one CG iteration's vector work on the active rows of a
+``(B, n)`` block — ``p^T A p``, ``x``/``r``/``z`` updates with their two
+inner products in one pass, the new direction, the residual norm and
+each row's stop/cap bookkeeping — with fp64 accumulators for either
+vector dtype and an accumulation order fixed by the element index.
+:mod:`repro.sem.cg` runs it whenever it loads, and its numpy step
+otherwise; :func:`step_status` says which.
+
 There is no switch.  :class:`~repro.sem.poisson.PoissonProblem` binds
 the compiled operator when its backend is the registered ``matmul``
 kernel and :func:`load_operator` succeeds; otherwise (no compiler, a
@@ -44,6 +54,7 @@ that loads the same artifact computes the same bits.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import platform
@@ -184,6 +195,168 @@ def operator_source(nx: int) -> str:
     return "".join(parts)
 
 
+_STEP_PREAMBLE = """\
+/* Fused CG step, generated by repro.sem.compiled. */
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+#define LANES 8
+
+/* Slots of the int64 argument block a solve packs once. */
+enum {
+    CG_NB, CG_N, CG_INVM_ROWS,
+    CG_X, CG_R, CG_Z, CG_P, CG_AP, CG_INVM,
+    CG_RZ, CG_PAP, CG_RES, CG_STOP,
+    CG_ACTIVE, CG_ITERATIONS, CG_MAXITER,
+    CG_SLOTS
+};
+
+int sem_cg_slots(void) { return CG_SLOTS; }
+
+typedef double acc_t __attribute__((vector_size(LANES * sizeof(double))));
+
+/* The lane partials summed in one fixed order (halving folds). */
+static double lane_sum(acc_t v)
+{
+    double h[LANES];
+    memcpy(h, &v, sizeof h);
+    for (int w = LANES / 2; w > 0; w /= 2)
+        for (int k = 0; k < w; ++k)
+            h[k] += h[k + w];
+    return h[0];
+}
+"""
+
+_STEP_BODY = Template("""
+typedef $real svec_$sfx __attribute__((vector_size(LANES * sizeof($real))));
+typedef $real usvec_$sfx __attribute__((
+    vector_size(LANES * sizeof($real)), aligned(sizeof($real)), may_alias));
+
+/* Lanes [0, m) of p, zero-padded past m: every chunk of a row starts at
+ * a multiple of LANES from the row start, whatever its address. */
+static inline svec_$sfx ld_$sfx(const $real *p, int64_t m)
+{
+    if (m == LANES)
+        return *(const usvec_$sfx *)p;
+    svec_$sfx v = {0};
+    memcpy(&v, p, (size_t)m * sizeof($real));
+    return v;
+}
+
+static inline void st_$sfx($real *p, svec_$sfx v, int64_t m)
+{
+    if (m == LANES)
+        *(usvec_$sfx *)p = v;
+    else
+        memcpy(p, &v, (size_t)m * sizeof($real));
+}
+
+/* a . b: $real products, double lane partials (lane = index % LANES). */
+static double dot_$sfx(const $real *a, const $real *b, int64_t n)
+{
+    acc_t acc = {0};
+    for (int64_t i = 0; i < n; i += LANES) {
+        int64_t m = n - i < LANES ? n - i : LANES;
+        acc += __builtin_convertvector(ld_$sfx(a + i, m) * ld_$sfx(b + i, m),
+                                       acc_t);
+    }
+    return lane_sum(acc);
+}
+
+/* One active row: x += a p, r -= a ap, z = r / M with r.z and r.r in the
+ * same pass, then p = z + b p.  invm is NULL when z is r.  Updates *rz
+ * and returns ||r||. */
+static double row_$sfx(int64_t n, double alpha, double *rz, $real *x,
+                       $real *r, $real *z, $real *p, const $real *ap,
+                       const $real *invm)
+{
+    const $real a = ($real)alpha;
+    acc_t rz_acc = {0}, rr_acc = {0};
+    for (int64_t i = 0; i < n; i += LANES) {
+        int64_t m = n - i < LANES ? n - i : LANES;
+        svec_$sfx pv = ld_$sfx(p + i, m);
+        svec_$sfx rv = ld_$sfx(r + i, m) - a * ld_$sfx(ap + i, m);
+        st_$sfx(x + i, ld_$sfx(x + i, m) + a * pv, m);
+        st_$sfx(r + i, rv, m);
+        svec_$sfx zv = rv;
+        if (invm) {
+            zv = rv * ld_$sfx(invm + i, m);
+            st_$sfx(z + i, zv, m);
+        }
+        rz_acc += __builtin_convertvector(rv * zv, acc_t);
+        rr_acc += __builtin_convertvector(rv * rv, acc_t);
+    }
+    const double rz_new = lane_sum(rz_acc);
+    const $real beta = ($real)(rz_new / *rz);
+    *rz = rz_new;
+    const $real *zs = invm ? z : r;
+    for (int64_t i = 0; i < n; i += LANES) {
+        int64_t m = n - i < LANES ? n - i : LANES;
+        st_$sfx(p + i, ld_$sfx(zs + i, m) + beta * ld_$sfx(p + i, m), m);
+    }
+    return sqrt(lane_sum(rr_acc));
+}
+
+/* One CG iteration over the active rows of a (nb, n) block, given
+ * ap = A p.  Returns -1, before any update, when an active row has
+ * p.ap <= 0; otherwise the number of rows still active. */
+int64_t sem_cg_step_$sfx(const int64_t *blk, int64_t it)
+{
+    const int64_t nb = blk[CG_NB], n = blk[CG_N];
+    const int64_t invm_stride = blk[CG_INVM_ROWS] ? n : 0;
+    $real *x = ($real *)(intptr_t)blk[CG_X];
+    $real *r = ($real *)(intptr_t)blk[CG_R];
+    $real *z = ($real *)(intptr_t)blk[CG_Z];
+    $real *p = ($real *)(intptr_t)blk[CG_P];
+    const $real *ap = (const $real *)(intptr_t)blk[CG_AP];
+    const $real *invm = (const $real *)(intptr_t)blk[CG_INVM];
+    double *rz = (double *)(intptr_t)blk[CG_RZ];
+    double *pap = (double *)(intptr_t)blk[CG_PAP];
+    double *res = (double *)(intptr_t)blk[CG_RES];
+    const double *stop = (const double *)(intptr_t)blk[CG_STOP];
+    uint8_t *active = (uint8_t *)(intptr_t)blk[CG_ACTIVE];
+    int64_t *iterations = (int64_t *)(intptr_t)blk[CG_ITERATIONS];
+    const int64_t *maxiter = (const int64_t *)(intptr_t)blk[CG_MAXITER];
+    int bad = 0;
+    for (int64_t b = 0; b < nb; ++b)
+        if (active[b]) {
+            pap[b] = dot_$sfx(p + b * n, ap + b * n, n);
+            bad |= pap[b] <= 0.0;
+        }
+    if (bad)
+        return -1;
+    int64_t left = 0;
+    for (int64_t b = 0; b < nb; ++b) {
+        if (!active[b])
+            continue;
+        const int64_t o = b * n;
+        res[b] = row_$sfx(n, rz[b] / pap[b], rz + b, x + o, r + o, z + o,
+                          p + o, ap + o, invm ? invm + b * invm_stride : 0);
+        if (res[b] <= stop[b] || it + 1 >= maxiter[b]) {
+            active[b] = 0;
+            iterations[b] = it + 1;
+        } else {
+            ++left;
+        }
+    }
+    return left;
+}
+""")
+
+
+def step_source() -> str:
+    """C source of the fused CG step (one entry per covered dtype).
+
+    Shape-agnostic: the row count and length are runtime arguments, so
+    one artifact serves every problem kind and size.
+    """
+    parts = [_STEP_PREAMBLE]
+    for sfx, real in COVERED_DTYPES.items():
+        parts.append(_STEP_BODY.substitute(sfx=sfx, real=real))
+    return "".join(parts)
+
+
 # ----------------------------------------------------------------------
 # Toolchain, cache key and on-disk cache
 # ----------------------------------------------------------------------
@@ -295,7 +468,7 @@ def compile_source(cc: str, source: str, dest: Path) -> None:
     os.close(fd)
     try:
         done = subprocess.run(
-            [cc, *COMPILE_FLAGS, "-x", "c", "-", "-o", tmp],
+            [cc, *COMPILE_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
             input=source, capture_output=True, text=True,
             timeout=COMPILE_TIMEOUT_S,
         )
@@ -355,9 +528,18 @@ _LOCK = threading.Lock()
 #: and one ``dlopen`` per artifact per process.
 _LOADED: dict[Path, "OperatorLibrary | str"] = {}
 
+#: Argument and return types of the step entry points.
+_STEP_ARGTYPES = [ctypes.c_void_p, ctypes.c_int64]
 
-def _open(nx: int, key: str, path: Path) -> OperatorLibrary:
-    """``dlopen`` an artifact and declare its entry points."""
+#: Slots of the step's packed argument block (the C ``enum``).
+STEP_SLOTS: tuple[str, ...] = (
+    "nb", "n", "invm_rows", "x", "r", "z", "p", "ap", "invm",
+    "rz", "pap", "res", "stop", "active", "iterations", "maxiter",
+)
+
+
+def _open_operator(nx: int, key: str, path: Path) -> OperatorLibrary:
+    """``dlopen`` an operator artifact and declare its entry points."""
     lib = ctypes.CDLL(str(path))
     lib.sem_poisson_nx.restype = ctypes.c_int
     lib.sem_poisson_nx.argtypes = []
@@ -372,6 +554,57 @@ def _open(nx: int, key: str, path: Path) -> OperatorLibrary:
     return OperatorLibrary(key=key, path=path, functions=functions)
 
 
+def _open_step(key: str, path: Path) -> OperatorLibrary:
+    """``dlopen`` a CG step artifact and declare its entry points."""
+    lib = ctypes.CDLL(str(path))
+    lib.sem_cg_slots.restype = ctypes.c_int
+    lib.sem_cg_slots.argtypes = []
+    if lib.sem_cg_slots() != len(STEP_SLOTS):
+        raise OSError(f"{path.name} does not take the current step block")
+    functions = {}
+    for sfx in COVERED_DTYPES:
+        fn = getattr(lib, f"sem_cg_step_{sfx}")
+        fn.restype = ctypes.c_int64
+        fn.argtypes = _STEP_ARGTYPES
+        functions[sfx] = fn
+    return OperatorLibrary(key=key, path=path, functions=functions)
+
+
+def _load(stem: str, source: str, opener) -> "OperatorLibrary | str":
+    """Compile (on a cache miss) and load one artifact, memoized by path.
+
+    ``opener(key, path)`` ``dlopen``s the file and checks it.  Never
+    raises: every failure comes back as a one-line reason string.
+    """
+    cc = find_compiler()
+    if cc is None:
+        return "no C compiler found"
+    with _LOCK:
+        try:
+            key = cache_key(source, cc)
+            path = cache_dir() / f"{stem}_{key}.so"
+        except (OSError, subprocess.SubprocessError) as exc:
+            return f"compiler setup failed: {exc}"
+        loaded = _LOADED.get(path)
+        if loaded is not None:
+            return loaded
+        try:
+            if not path.exists():
+                compile_source(cc, source, path)
+            try:
+                loaded = opener(key, path)
+            except OSError:
+                # A damaged artifact (say, from a full disk) is rebuilt
+                # once, not trusted.
+                compile_source(cc, source, path)
+                loaded = opener(key, path)
+        except (OSError, RuntimeError, AttributeError,
+                subprocess.SubprocessError) as exc:
+            loaded = f"compiled {stem} unavailable: {exc}"
+        _LOADED[path] = loaded
+        return loaded
+
+
 def load_operator(nx: int) -> "OperatorLibrary | str":
     """The compiled operator library for ``nx``, or why there is none.
 
@@ -382,34 +615,29 @@ def load_operator(nx: int) -> "OperatorLibrary | str":
     """
     if nx not in COVERED_NX:
         return f"nx={nx} has no compiled specialization (covered: {COVERED_NX})"
-    cc = find_compiler()
-    if cc is None:
-        return "no C compiler found"
-    with _LOCK:
-        try:
-            source = operator_source(nx)
-            key = cache_key(source, cc)
-            path = cache_dir() / f"sem_poisson_nx{nx}_{key}.so"
-        except (OSError, subprocess.SubprocessError) as exc:
-            return f"compiler setup failed: {exc}"
-        loaded = _LOADED.get(path)
-        if loaded is not None:
-            return loaded
-        try:
-            if not path.exists():
-                compile_source(cc, source, path)
-            try:
-                loaded = _open(nx, key, path)
-            except OSError:
-                # A damaged artifact (say, from a full disk) is rebuilt
-                # once, not trusted.
-                compile_source(cc, source, path)
-                loaded = _open(nx, key, path)
-        except (OSError, RuntimeError, AttributeError,
-                subprocess.SubprocessError) as exc:
-            loaded = f"compiled operator unavailable: {exc}"
-        _LOADED[path] = loaded
-        return loaded
+    return _load(
+        f"sem_poisson_nx{nx}", operator_source(nx),
+        functools.partial(_open_operator, nx),
+    )
+
+
+@functools.cache
+def load_step() -> "OperatorLibrary | str":
+    """The compiled CG step library, or why there is none.
+
+    As :func:`load_operator`, but resolved once per process: every CG
+    solve asks for it, so later calls touch neither the compiler nor
+    the disk.
+    """
+    return _load("sem_cg_step", step_source(), _open_step)
+
+
+def step_status() -> OperatorStatus:
+    """Which CG step path :mod:`repro.sem.cg` runs in this process."""
+    lib = load_step()
+    if isinstance(lib, str):
+        return OperatorStatus("numpy", reason=lib)
+    return OperatorStatus("compiled", key=lib.key)
 
 
 # ----------------------------------------------------------------------
@@ -517,3 +745,64 @@ class CompiledOperator:
             return result
         np.copyto(out, result)
         return out
+
+
+class CompiledStep:
+    """The fused CG step bound to one solve's buffers.
+
+    Every address is packed once, at bind time, into an int64 block
+    (:data:`STEP_SLOTS`); a call passes that block and the iteration
+    number.  Holds references to every array it points into, so none
+    can be freed while the step lives.
+
+    Parameters
+    ----------
+    fn:
+        The library entry point for the vectors' dtype.
+    x, r, z, p, ap:
+        ``(B, n)`` C-contiguous CG vectors of one float dtype; ``z`` may
+        be ``r`` when there is no preconditioner.
+    inv_m:
+        Inverse Jacobi diagonal: ``None``, shared ``(n,)`` or per-row
+        ``(B, n)``.
+    rz, pap, res, stop:
+        ``(B,)`` fp64 per-row scalars.
+    active:
+        ``(B,)`` bool mask of rows still iterating (updated in place).
+    iterations, maxiter:
+        ``(B,)`` int64 iteration counts (updated) and caps.
+    """
+
+    def __init__(self, fn, x, r, z, p, ap, inv_m, rz, pap, res, stop,
+                 active, iterations, maxiter) -> None:
+        nb, n = x.shape
+        vectors = (x, r, z, p, ap)
+        rows = (rz, pap, res, stop, active, iterations, maxiter)
+        row_dtypes = (np.float64,) * 4 + (np.bool_, np.int64, np.int64)
+        if (
+            any(v.shape != (nb, n) or v.dtype != x.dtype
+                or not v.flags.c_contiguous for v in vectors)
+            or any(a.shape != (nb,) or a.dtype != dt or not a.flags.c_contiguous
+                   for a, dt in zip(rows, row_dtypes))
+            or (inv_m is not None and (
+                inv_m.shape not in ((n,), (nb, n)) or inv_m.dtype != x.dtype
+                or not inv_m.flags.c_contiguous))
+        ):
+            raise ValueError("arrays do not match the compiled step layout")
+        self._arrays = (*vectors, inv_m, *rows)
+        self._block = np.array(
+            [nb, n, inv_m is not None and inv_m.ndim == 2]
+            + [v.ctypes.data for v in vectors]
+            + [0 if inv_m is None else inv_m.ctypes.data]
+            + [a.ctypes.data for a in rows],
+            dtype=np.int64,
+        )
+        self.iterations, self.maxiter = iterations, maxiter
+        self._fn = fn
+        self._addr = self._block.ctypes.data
+
+    @hot_path
+    def __call__(self, it: int) -> int:
+        """One iteration: the rows still active, or ``-1`` (nothing
+        updated) when an active row has ``p^T A p <= 0``."""
+        return self._fn(self._addr, it)

@@ -225,6 +225,10 @@ class SolverWorkspace:
         for name in BATCH_SCALAR_BUFFERS:
             setattr(self, name, np.empty(self.batch, dtype=np.float64))
         self.cg_active = np.empty(self.batch, dtype=bool)
+        #: CG steps bound to these buffers, reused across solves so a
+        #: solve does not re-pack the step's pointers (see
+        #: :func:`repro.sem.cg.cg_solve_batched`).
+        self.cg_steps: dict = {}
         self._executor: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
 

@@ -139,6 +139,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.sem.cg import CGResult
+from repro.sem.compiled import load_step, step_status
 from repro.sem.shared import SlotRing
 from repro.serve.chaos import FaultInjector, FaultPlan
 from repro.serve.errors import (
@@ -203,6 +204,7 @@ def _worker_info(problem, spec, ring=None, pinned=None) -> dict:
     # artifact's cache key, or why numpy runs), so a failed worker-side
     # load shows up instead of silently changing the arithmetic.
     status = getattr(inner, "operator_status", None)
+    step = step_status()
     return {
         "pid": os.getpid(),
         "n_dofs": int(problem.n_dofs),
@@ -237,6 +239,10 @@ def _worker_info(problem, spec, ring=None, pinned=None) -> dict:
             "no compiled operator for this problem kind"
             if status is None else status.reason
         ),
+        # The CG step path, attested the same way: a worker on the
+        # numpy step would break served == sequential bit for bit.
+        "cg_step": step.path,
+        "cg_step_key": step.key,
     }
 
 
@@ -842,6 +848,9 @@ class ProcessShardedSolveService:
         from repro.serve.service import SolveService
 
         SolveService(problem, background=False, **self._forwarded).close()
+        # Build the CG step artifact here, before any worker exists, so
+        # the workers only load it.
+        load_step()
         self._export = problem.export_shared()
         # One request/response slot ring per worker: a crashed worker's
         # replacement re-attaches the *same* ring (same physical pages),

@@ -103,6 +103,10 @@ def check_request(
         b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
         raise ValueError(f"rhs must have shape ({n},), got {b.shape}")
+    if not np.isfinite(b).all():
+        # A NaN/Inf rhs can only produce a non-finite solve, and inside
+        # a stacked batch it would cost its batchmates a dispatch.
+        raise ValueError("rhs entries must be finite")
     if tol is not None:
         tol = float(tol)
         if not np.isfinite(tol) or tol < 0:

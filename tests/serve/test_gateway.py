@@ -422,6 +422,42 @@ class TestGatewayHTTP:
         assert payload["converged"] is True
         assert payload["residual_norm"] == want.residual_norm
 
+    def test_non_finite_rhs_is_a_400(self, serving_problem):
+        """JSON carries NaN, so the wire can deliver a poisoned rhs; the
+        service refuses it and the gateway answers 400."""
+        prob, bank = serving_problem
+        b = bank[0].copy()
+        b[3] = np.nan
+
+        async def run():
+            svc = SolveService(
+                prob.clone(), max_batch=4, max_wait=0.002,
+                background=True,
+            )
+            registry = TenantRegistry()
+            tenant = registry.provision("acme")
+            gateway = Gateway(svc, registry)
+            async with GatewayServer(gateway) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(http_request(
+                    "POST", "/v1/solve", tenant.token, solve_body(b),
+                ))
+                await writer.drain()
+                status, _headers, payload = await read_http_response(
+                    reader
+                )
+                writer.close()
+                await writer.wait_closed()
+            await gateway.aclose()
+            return status, payload
+
+        status, payload = asyncio.run(run())
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        assert "finite" in payload["detail"]
+
     def test_error_statuses_over_http(self):
         backend = FakeBackend(depths=(100,))
 

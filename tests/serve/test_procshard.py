@@ -281,6 +281,24 @@ class TestProcShardOperatorAttestation:
         } == {(status.path, status.key, status.reason)}
 
 
+    def test_workers_report_the_parent_cg_step(self, serving_problem):
+        """Every worker runs the parent's CG step: a worker on the other
+        step would break served == sequential bit for bit."""
+        from repro.sem.compiled import step_status
+
+        prob, _ = serving_problem
+        with ProcessShardedSolveService(
+            prob, workers=2, policy="round-robin", max_batch=8,
+            max_wait=0.002,
+        ) as svc:
+            infos = svc.worker_info()
+        status = step_status()
+        assert len(infos) == 2
+        assert {(i["cg_step"], i["cg_step_key"]) for i in infos} == {
+            (status.path, status.key)
+        }
+
+
 class TestProcShardSolveManyLatency:
     def test_small_block_does_not_wait_out_max_wait(self, serving_problem):
         """A 3-rhs block fills no worker's max_batch; solve_many must

@@ -329,6 +329,20 @@ class TestSolveServiceSync:
             svc.flush()
             assert_same_result(good.result(), sequential_solve(prob, bank[0]))
 
+    def test_non_finite_rhs_bounces_at_submit(self, serving_problem):
+        """A NaN/Inf rhs is refused like a bad tol: it never reaches a
+        batch, so its would-be batchmates solve exactly as alone."""
+        prob, bank = serving_problem
+        with SolveService(prob, max_batch=4) as svc:
+            good = svc.submit(bank[0])
+            for bad in (np.nan, np.inf, -np.inf):
+                b = bank[1].copy()
+                b[3] = bad
+                with pytest.raises(ValueError, match="rhs entries must be"):
+                    svc.submit(b)
+            svc.flush()
+            assert_same_result(good.result(), sequential_solve(prob, bank[0]))
+
     def test_non_protocol_problem_rejected(self):
         with pytest.raises(TypeError, match="solver.*protocol"):
             SolveService(object())
